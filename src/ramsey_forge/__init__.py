@@ -47,7 +47,6 @@ from .report import CheckReport, Witness
 from .residues import ResidueSet, scale_set, sumset
 from .search import (
     CandidateFailure,
-    RamseyBoundTable,
     SearchRecord,
     SweepResult,
     candidate_primes,
@@ -69,7 +68,6 @@ __all__ = [
     "FactorSet",
     "LabeledPartition",
     "PrimeSieve",
-    "RamseyBoundTable",
     "Relation",
     "ResidueSet",
     "RowVerification",

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .checker import check_candidate
-from .numbertheory import PrimeSieve, prime_factors, sieve_primes, smallest_generator, _aux_sieve
+from .numbertheory import PrimeSieve, prime_factors, sieve_primes, smallest_generator
 from .partition import CyclotomicPartition
 from .report import CheckReport
 from .search import candidate_primes, _evaluate_candidate
@@ -118,16 +118,16 @@ def verify_row(
     *,
     minimality: bool = False,
     sieve: PrimeSieve | None = None,
-    method: str = "auto",
 ) -> RowVerification:
     """Re-derive everything a row claims: the partition passes all four
     checks, x is the least generator, and (optionally) every smaller
     qualifying prime fails.
     """
     t0 = time.perf_counter()
-    factors = prime_factors(row.N - 1, _aux_sieve(isqrt(row.N - 1) + 1))
+    small_sieve = sieve_primes(isqrt(row.N - 1) + 1)
+    factors = prime_factors(row.N - 1, small_sieve)
     generator_ok = smallest_generator(row.N, factors) == row.x
-    report = check_candidate(row.N, row.m, row.x, method)
+    report = check_candidate(row.N, row.m, row.x)
     minimal_ok: bool | None = None
     first_pass: int | None = None
     if minimality:
@@ -135,7 +135,7 @@ def verify_row(
             sieve = sieve_primes(max(row.N - 1, 2))
         minimal_ok = True
         for N in candidate_primes(row.m, 0, row.N - 1, sieve):
-            _, passed, _, _ = _evaluate_candidate(N, row.m, method, False)
+            _, passed, _, _ = _evaluate_candidate(N, row.m, False, small_sieve)
             if passed:
                 minimal_ok = False
                 first_pass = N
@@ -148,7 +148,6 @@ def verify_rows(
     rows: Iterable[CatalogRow],
     *,
     minimality: bool = False,
-    method: str = "auto",
     progress: Callable[[int, int, int], None] | None = None,
 ) -> list[RowVerification]:
     rows = list(rows)
@@ -157,7 +156,7 @@ def verify_rows(
         sieve = sieve_primes(max(r.N for r in rows))
     out = []
     for i, row in enumerate(rows):
-        out.append(verify_row(row, minimality=minimality, sieve=sieve, method=method))
+        out.append(verify_row(row, minimality=minimality, sieve=sieve))
         if progress:
             progress(row.m, row.N, i + 1)
     return out

@@ -1,23 +1,17 @@
 """Fast validity checks for single-generator partitions.
 
-Two interchangeable engines sit behind `full_fast_check`:
+`check_candidate` and `full_fast_check` both run the O(N) class/count
+pass from `classcount`, the one engine on the run-time path.
 
-  * "bitset"   - explicit sumsets on the bit-mask sets.  The subgroup
-                 structure collapses the work: class 0 is sum-free iff
-                 no two of its elements sum to 1 (divide any violating
-                 pair through by the sum to land on 1), and pairs
-                 (0, i) covering everything implies all pairs do, since
-                 scaling by x^i maps one onto the other.  So only one
-                 class is screened for sums and only m - 1 sumsets are
-                 formed instead of m^2.
-  * "counting" - the O(N) class/count pass from `classcount`.
-
-Benchmarks put the counting pass ahead at every modulus scale tried
-(10x at N ~ 300, widening past 50x by N ~ 30000), so "auto" always
-takes it and keeps the bit masks only for moduli too large for the
-int64 class table.  The bitset engine stays because it computes the
-same answers from different primitives; the test suite holds the two
-to identical flags and witnesses, bit for bit.
+The bit-mask functions below compute the same flags and witnesses from
+explicit sumsets and are kept as an independent reference that the
+test suite holds the counting engine to, bit for bit, on moduli well
+past the reach of the naive oracle.  The subgroup structure collapses
+their work: class 0 is sum-free iff no two of its elements sum to 1
+(divide any violating pair through by the sum to land on 1), and pairs
+(0, i) covering everything implies all pairs do, since scaling by x^i
+maps one onto the other.  So only one class is screened for sums and
+only m - 1 sumsets are formed instead of m^2.
 
 Checks run in the fixed order symmetric -> sum_free -> cyclic_basis ->
 triangle and stop at the first failure (later flags stay None).
@@ -25,20 +19,10 @@ triangle and stop at the first failure (later flags stay None).
 
 from __future__ import annotations
 
-from .classcount import MAX_COUNTING_MODULUS, counting_report
-from .partition import CyclotomicPartition, _build_partition_unchecked
+from .classcount import counting_report
+from .partition import CyclotomicPartition
 from .report import CheckReport, Witness
 from .residues import ResidueSet, sumset
-
-_METHODS = ("auto", "bitset", "counting")
-
-
-def _resolve_method(N: int, method: str) -> str:
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
-    if method == "auto":
-        return "counting" if N < MAX_COUNTING_MODULUS else "bitset"
-    return method
 
 
 def _symmetric(p: CyclotomicPartition) -> Witness | None:
@@ -130,25 +114,19 @@ def _bitset_report(p: CyclotomicPartition) -> CheckReport:
     return CheckReport.all_passed()
 
 
-def full_fast_check(p: CyclotomicPartition, method: str = "auto") -> CheckReport:
+def full_fast_check(p: CyclotomicPartition) -> CheckReport:
     """All four conditions on an already-built partition.
 
     The counting engine re-derives the classes from (N, m, x); that is
     sound because the constructor validated they tile Z_N \\ {0}.
     """
-    if _resolve_method(p.N, method) == "counting":
-        return counting_report(p.N, p.m, p.x)
-    return _bitset_report(p)
+    return counting_report(p.N, p.m, p.x)
 
 
-def check_candidate(N: int, m: int, x: int, method: str = "auto") -> CheckReport:
+def check_candidate(N: int, m: int, x: int) -> CheckReport:
     """Report for the construction (N, m, x) without requiring the
-    caller to build anything.
-
-    The bit-mask route materializes the partition first; the counting
-    route never does, which is what makes million-range moduli cheap.
-    Either way an x that fails to generate the group raises ValueError.
+    caller to build anything: the partition is never materialized,
+    which is what makes million-range moduli cheap.  An x that fails to
+    generate the group, or a modulus of 2^31 or more, raises ValueError.
     """
-    if _resolve_method(N, method) == "counting":
-        return counting_report(N, m, x)
-    return _bitset_report(_build_partition_unchecked(N, m, x))
+    return counting_report(N, m, x)

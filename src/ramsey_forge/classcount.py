@@ -20,17 +20,15 @@ a sum from X_p + X_q, and:
                                       scaling by x^i shifts both class
                                       indices, reaching every pair).
 
-Building cls takes one ~sqrt(N) x ~sqrt(N) table of products instead of
-N sequential multiplications: with s ~ sqrt(N-1), row b and column a of
-the outer product (x^(bs)) * (x^a) is x^(bs + a), covering every
-exponent below N - 1.  Exponents that spill past N - 1 relabel the same
-residue with the same class, since m divides N - 1.  All arithmetic
-stays below 2^63 for any modulus under 2^31, so int64 is exact.
+Every class-0 walk and the class table come from one kernel,
+`power_walk`, which lists g^0..g^(n-1) mod N by doubling: once the
+first L powers are known, multiplying them by g^L gives the next L.
+That is about log2(n) vectorised passes and no per-element Python
+loop.  Each product of two residues stays below 2^62 for any modulus
+under 2^31, so int64 is exact; the kernel refuses larger moduli.
 """
 
 from __future__ import annotations
-
-from math import isqrt
 
 import numpy as np
 
@@ -39,47 +37,73 @@ from .report import CheckReport, Witness
 MAX_COUNTING_MODULUS = 1 << 31
 
 
-def class_index_table(N: int, m: int, x: int) -> np.ndarray:
-    """cls array of length N: cls[x^e] = e mod m, cls[0] = -1.
+def power_walk(g: int, n: int, N: int) -> np.ndarray:
+    """g^0, g^1, ..., g^(n-1) mod N as int64: the one place that lists
+    successive powers.  Refuses moduli the int64 products cannot hold
+    before allocating anything.
+    """
+    if N >= MAX_COUNTING_MODULUS:
+        raise ValueError(
+            f"modulus {N} too large: power walks need N < 2^31 = {MAX_COUNTING_MODULUS}"
+        )
+    out = np.empty(n, dtype=np.int64)
+    out[:1] = 1
+    filled = 1
+    while filled < n:
+        take = min(filled, n - filled)
+        head = out[filled : filled + take]
+        np.multiply(out[:take], pow(g, filled, N), out=head)
+        np.remainder(head, N, out=head)
+        filled += take
+    return out
 
-    Raises if x does not generate the full group (detected by powers
-    covering fewer than N - 1 residues).
+
+def class_zero(N: int, m: int, x: int) -> np.ndarray:
+    """The order-k subgroup X_0 = {x^(jm) : 0 <= j < k}, k = (N - 1) / m,
+    in walk order (so it starts at 1).
+
+    Rejects m not dividing N - 1, and rejects x whose powers close up
+    early (fewer than k distinct elements means x is not a generator).
     """
     if N < 3:
         raise ValueError(f"modulus must be an odd prime, got {N}")
-    if N >= MAX_COUNTING_MODULUS:
-        raise ValueError(f"modulus {N} too large for int64 product grid")
     if m < 1 or (N - 1) % m != 0:
         raise ValueError(f"class count {m} does not divide {N - 1}")
-    x %= N
-    if x == 0:
+    if x % N == 0:
         raise ValueError(f"generator {x} is 0 mod {N}")
+    k = (N - 1) // m
+    X = power_walk(pow(x, m, N), k, N)
+    repeat = np.flatnonzero(X[1:] == 1)
+    if repeat.size:
+        raise ValueError(
+            f"x={x} yields only {int(repeat[0]) + 1} of {k} class elements mod {N}; "
+            "not a generator"
+        )
+    return X
 
-    s = isqrt(N - 1) + 1
-    rows = -(-(N - 1) // s)
 
-    baby = np.empty(s, dtype=np.int64)
-    t = 1
-    for a in range(s):
-        baby[a] = t
-        t = t * x % N
-    giant = np.empty(rows, dtype=np.int64)
-    step = pow(x, s, N)
-    t = 1
-    for b in range(rows):
-        giant[b] = t
-        t = t * step % N
+def sum_free_violations(X: np.ndarray, N: int) -> np.ndarray:
+    """The a in the subgroup X_0 with 1 - a also in X_0, in walk order.
 
-    powers = giant[:, None] * baby[None, :] % N
-    exp_class = (
-        (np.arange(rows, dtype=np.int64) * (s % m))[:, None]
-        + np.arange(s, dtype=np.int64)[None, :]
-    ) % m
+    Empty iff X_0 is sum-free: a + b = c inside X_0 divides through by
+    c to 1 = a/c + b/c, with both parts still in the subgroup.
+    """
+    mask = np.zeros(N, dtype=bool)
+    mask[X] = True
+    return X[mask[(1 - X) % N]]
 
+
+def class_index_table(N: int, m: int, x: int) -> np.ndarray:
+    """cls array of length N: cls[x^e] = e mod m, cls[0] = -1.
+
+    Raises if x does not generate the full group.
+    """
+    if m < 1 or (N - 1) % m != 0:
+        raise ValueError(f"class count {m} does not divide {N - 1}")
+    # row j of the reshaped walk is x^(jm), ..., x^(jm + m - 1): classes 0..m-1
+    powers = class_zero(N, 1, x).reshape(-1, m)
     cls = np.full(N, -1, dtype=np.int64)
-    cls[powers.ravel()] = exp_class.ravel()
-    if int((cls >= 0).sum()) != N - 1:
-        raise ValueError(f"x={x} does not generate the multiplicative group mod {N}")
+    cls[powers] = np.arange(m, dtype=np.int64)
     return cls
 
 
@@ -106,38 +130,21 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     """Full four-condition report for the construction (N, m, x).
 
     Same flag order, short-circuiting, and witness conventions as the
-    bit-mask checker, but the class/count pass replaces per-class
-    sumsets, so cost is O(N) plus an O(k) sum-free screen that rejects
-    most candidates before the table is ever built.
+    bit-mask reference in `checker`, but the class/count pass replaces
+    per-class sumsets, so cost is O(N).  The sum-free test on class 0
+    alone rejects most candidates before the table is ever built.
     """
-    if m < 1 or N < 3 or (N - 1) % m != 0:
-        raise ValueError(f"class count {m} does not divide {N - 1}")
-    x %= N
-    if x == 0:
-        raise ValueError(f"generator {x} is 0 mod {N}")
-    k = (N - 1) // m
-
-    step = pow(x, m, N)
-    elems: set[int] = set()
-    t = 1
-    for _ in range(k):
-        elems.add(t)
-        t = t * step % N
-    if len(elems) < k:
-        raise ValueError(
-            f"x={x} yields only {len(elems)} of {k} class elements mod {N}; not a generator"
-        )
-
-    if k % 2 != 0:
+    X = class_zero(N, m, x)
+    if X.size % 2 != 0:
         # -1 = x^((N-1)/2) falls outside X_0, which makes negation move
         # every class wholesale; the first failing element of class 0 is
         # then simply its minimum.
-        w = Witness("symmetric", (0,), min(elems))
+        w = Witness("symmetric", (0,), int(X.min()))
         return CheckReport(False, None, None, None, w)
 
-    bad = [a for a in elems if (1 - a) % N in elems]
-    if bad:
-        w = Witness("sum_free", (0, 0), min(bad))
+    bad = sum_free_violations(X, N)
+    if bad.size:
+        w = Witness("sum_free", (0, 0), int(bad.min()))
         return CheckReport(True, False, None, None, w)
 
     cls = class_index_table(N, m, x)

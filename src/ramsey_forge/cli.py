@@ -60,12 +60,18 @@ def _parse_m_range(text: str) -> tuple[int, int]:
 
 
 def _resolve_workers(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """--workers, else $RAMSEY_FORGE_WORKERS, else the CPU count; held
+    to 1..CPU count, since each worker is a process of its own."""
+    cpus = os.cpu_count() or 1
+    if value is None:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
+            return cpus
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    return min(max(1, value), cpus)
 
 
 class _Progress:
@@ -102,7 +108,11 @@ def _cmd_search(args) -> int:
     if lo < 2:
         print(f"error: search needs m >= 2, got {lo}", file=sys.stderr)
         return 1
-    workers = _resolve_workers(args.workers)
+    try:
+        workers = _resolve_workers(args.workers)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     progress = _Progress("search", args.progress_interval, args.quiet)
 
     resume_records: list[SearchRecord] = []
@@ -124,7 +134,7 @@ def _cmd_search(args) -> int:
             emit = lambda r: _emit(sink, json.dumps(r.to_dict(), separators=(",", ":")))
         records = search_all(
             lo, hi, args.bound,
-            workers=workers, method=args.method,
+            workers=workers,
             progress=progress, resume_records=resume_records, on_record=emit,
         )
     finally:
@@ -157,11 +167,11 @@ def _cmd_sweep(args) -> int:
             )
             return 1
         bound = DEFAULT_SWEEP_BOUNDS[args.m]
-    workers = _resolve_workers(args.workers)
     progress = _Progress("sweep", args.progress_interval, args.quiet)
     try:
+        workers = _resolve_workers(args.workers)
         result = sweep_nonexistence(
-            args.m, bound, workers=workers, method=args.method, progress=progress
+            args.m, bound, workers=workers, progress=progress
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -209,7 +219,7 @@ def _cmd_verify(args) -> int:
             return 1
     progress = _Progress("verify", args.progress_interval, args.quiet)
     results = catalog_mod.verify_rows(
-        rows, minimality=args.minimality, method=args.method, progress=progress
+        rows, minimality=args.minimality, progress=progress
     )
 
     sink, close = _open_out(args.out)
@@ -306,9 +316,6 @@ def _add_common(sp, *, workers: bool = True) -> None:
     sp.add_argument("--out", metavar="PATH")
     sp.add_argument("--quiet", "-q", action="store_true")
     sp.add_argument("--progress-interval", type=float, default=10.0, metavar="SEC")
-    sp.add_argument(
-        "--method", choices=("auto", "bitset", "counting"), default="auto"
-    )
     if workers:
         sp.add_argument("--workers", type=int, metavar="W")
 

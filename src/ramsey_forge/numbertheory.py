@@ -11,7 +11,7 @@ comfortably in machine words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -100,11 +100,6 @@ def mod_pow(base: int, exp: int, N: int) -> int:
     return pow(base % N, exp, N)
 
 
-@lru_cache(maxsize=8)
-def _aux_sieve(bound: int) -> PrimeSieve:
-    return sieve_primes(max(bound, 2))
-
-
 def is_generator(x: int, N: int, factors: FactorSet) -> bool:
     """True iff x generates the full multiplicative group mod prime N.
 
@@ -130,7 +125,7 @@ def smallest_generator(N: int, factors: FactorSet | None = None) -> int:
     if N == 2:
         return 1
     if factors is None:
-        factors = prime_factors(N - 1, _aux_sieve(isqrt(N - 1) + 1))
+        factors = prime_factors(N - 1, sieve_primes(isqrt(N - 1) + 1))
     elif factors.n != N - 1:
         raise ValueError(f"factor set is for {factors.n}, expected {N - 1}")
     exps = [(N - 1) // p for p in factors.distinct_primes]

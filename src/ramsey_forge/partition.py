@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classcount import class_zero
 from .residues import ResidueSet, scale_set
 
 
@@ -46,25 +47,7 @@ def build_class_zero(N: int, m: int, x: int) -> ResidueSet:
     Rejects m not dividing N - 1, and rejects x whose powers close up
     early (fewer than k distinct elements means x is not a generator).
     """
-    if N < 3:
-        raise ValueError(f"modulus must be an odd prime, got {N}")
-    if m < 1 or (N - 1) % m != 0:
-        raise ValueError(f"class count {m} does not divide {N - 1}")
-    if x % N == 0:
-        raise ValueError(f"generator {x} is 0 mod {N}")
-    k = (N - 1) // m
-    step = pow(x, m, N)
-    elems = []
-    t = 1
-    for _ in range(k):
-        elems.append(t)
-        t = t * step % N
-    X0 = ResidueSet.from_elements(N, elems)
-    if len(X0) < k:
-        raise ValueError(
-            f"x={x} yields only {len(X0)} of {k} class elements mod {N}; not a generator"
-        )
-    return X0
+    return ResidueSet.from_elements(N, class_zero(N, m, x).tolist())
 
 
 def _partition_from_class_zero(N: int, m: int, x: int, X0: ResidueSet) -> CyclotomicPartition:

@@ -6,10 +6,11 @@ single-generator partition passes the full check, `sweep_nonexistence`
 walks all of them and logs why each fails.
 
 The economics: nearly every candidate dies on the sum-free condition,
-so each one first runs an incremental screen that walks the class-0
-subgroup and fires the moment two visited elements sum to 1.  The walk
-usually aborts within a few hundred steps even when the class holds
-tens of thousands of elements; only survivors pay for a full check.
+so a search first screens each one on the class-0 subgroup alone: one
+vectorised walk of its k elements and one membership test of 1 - a
+against the walk, without building the O(N) class table.  Only
+survivors pay for a full check.  A sweep skips the screen, because it
+logs a witness for every candidate and the full check supplies it.
 
 Two runs with the same (m, bound) produce identical records whatever
 the worker count: candidates are evaluated speculatively in blocks but
@@ -29,13 +30,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .checker import check_candidate
+from .classcount import class_zero, sum_free_violations
 from .numbertheory import (
     DEFAULT_SIEVE_BOUND,
     PrimeSieve,
     prime_factors,
     sieve_primes,
     smallest_generator,
-    _aux_sieve,
 )
 from .report import Witness
 
@@ -138,28 +139,6 @@ def ramsey_recursive_bound(colors: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class RamseyBoundTable:
-    """Bounds for 2..max_colors, computed once and indexed by color count."""
-
-    max_colors: int
-    values: tuple[int, ...]
-
-    @classmethod
-    def up_to(cls, max_colors: int) -> "RamseyBoundTable":
-        if max_colors < 2:
-            raise ValueError(f"need at least 2 colors, got {max_colors}")
-        vals = [6]
-        for c in range(3, max_colors + 1):
-            vals.append(c * (vals[-1] - 1) + 2)
-        return cls(max_colors, tuple(vals))
-
-    def bound(self, colors: int) -> int:
-        if not 2 <= colors <= self.max_colors:
-            raise ValueError(f"colors {colors} outside 2..{self.max_colors}")
-        return self.values[colors - 2]
-
-
 # Largest certified nonexistence bounds for the two color counts the
 # single-generator family is known to skip.
 DEFAULT_SWEEP_BOUNDS = {8: ramsey_recursive_bound(8), 13: 190997}
@@ -187,42 +166,34 @@ def candidate_primes(m: int, lo: int, hi: int, sieve: PrimeSieve) -> list[int]:
 
 
 def _sum_free_screen_fails(N: int, m: int, x: int) -> bool:
-    """True iff 1 is a sum of two class-0 elements; walks the subgroup
-    incrementally and aborts on the first hit, so failing candidates
-    (the overwhelming majority) cost far fewer than k steps.
+    """True iff 1 is a sum of two class-0 elements, decided from the
+    class-0 walk alone with the same test `counting_report` runs.
     """
-    step = pow(x, m, N)
-    k = (N - 1) // m
-    seen: set[int] = set()
-    t = 1
-    for _ in range(k):
-        b = (1 - t) % N
-        if b == t or b in seen:
-            return True
-        seen.add(t)
-        t = t * step % N
-    return False
+    return sum_free_violations(class_zero(N, m, x), N).size > 0
 
 
 def _evaluate_candidate(
-    N: int, m: int, method: str, need_witness: bool
+    N: int, m: int, need_witness: bool, small_sieve: PrimeSieve
 ) -> tuple[int, bool, str | None, Witness | None]:
-    """(x, passed, failed_check, witness) for one qualifying modulus."""
-    factors = prime_factors(N - 1, _aux_sieve(isqrt(N - 1) + 1))
+    """(x, passed, failed_check, witness) for one qualifying modulus.
+
+    `small_sieve` must reach sqrt(N - 1), for factoring N - 1.
+    """
+    factors = prime_factors(N - 1, small_sieve)
     x = smallest_generator(N, factors)
     if not need_witness and _sum_free_screen_fails(N, m, x):
         return x, False, "sum_free", None
-    report = check_candidate(N, m, x, method)
+    report = check_candidate(N, m, x)
     if report.overall:
         return x, True, None, None
     return x, False, report.failed_condition, report.witness
 
 
 def _evaluate_block(
-    args: tuple[Sequence[int], int, str, bool]
+    args: tuple[Sequence[int], int, bool, PrimeSieve]
 ) -> list[tuple[int, int, bool, str | None, Witness | None]]:
-    Ns, m, method, need_witness = args
-    return [(N, *_evaluate_candidate(N, m, method, need_witness)) for N in Ns]
+    Ns, m, need_witness, small_sieve = args
+    return [(N, *_evaluate_candidate(N, m, need_witness, small_sieve)) for N in Ns]
 
 
 def _scan_candidates(
@@ -230,14 +201,15 @@ def _scan_candidates(
     bound: int,
     sieve: PrimeSieve,
     *,
-    stop_at_first: bool,
     collect_failures: bool,
     workers: int = 1,
-    method: str = "auto",
     progress: ProgressFn | None = None,
 ) -> tuple[SearchRecord, tuple[CandidateFailure, ...]]:
     t0 = time.perf_counter()
     candidates = candidate_primes(m, 0, bound, sieve)
+    # reaches sqrt(N - 1) for every candidate, and pickles small enough
+    # to ride along with each pool block
+    small_sieve = sieve_primes(isqrt(bound) + 1)
     failures: list[CandidateFailure] = []
 
     def finish(status: str, N, x, tested: int) -> SearchRecord:
@@ -247,7 +219,7 @@ def _scan_candidates(
     if workers <= 1 or len(candidates) <= BLOCK_SIZE:
         for idx, N in enumerate(candidates):
             x, passed, failed, witness = _evaluate_candidate(
-                N, m, method, collect_failures
+                N, m, collect_failures, small_sieve
             )
             if passed:
                 # a sweep that finds one reports it rather than keep scanning
@@ -275,7 +247,7 @@ def _scan_candidates(
                 window.append(
                     pool.submit(
                         _evaluate_block,
-                        (blocks[next_block], m, method, collect_failures),
+                        (blocks[next_block], m, collect_failures, small_sieve),
                     )
                 )
                 next_block += 1
@@ -307,7 +279,6 @@ def search_min_modulus(
     *,
     sieve: PrimeSieve | None = None,
     workers: int = 1,
-    method: str = "auto",
     progress: ProgressFn | None = None,
 ) -> SearchRecord:
     """Least qualifying prime N <= bound whose partition passes all
@@ -319,10 +290,8 @@ def search_min_modulus(
         m,
         bound,
         _sieve_for(bound, sieve),
-        stop_at_first=True,
         collect_failures=False,
         workers=workers,
-        method=method,
         progress=progress,
     )
     return record
@@ -334,7 +303,6 @@ def sweep_nonexistence(
     *,
     sieve: PrimeSieve | None = None,
     workers: int = 1,
-    method: str = "auto",
     progress: ProgressFn | None = None,
 ) -> SweepResult:
     """Check every qualifying prime up to the bound, recording for each
@@ -349,10 +317,8 @@ def sweep_nonexistence(
         m,
         bound,
         _sieve_for(bound, sieve),
-        stop_at_first=False,
         collect_failures=True,
         workers=workers,
-        method=method,
         progress=progress,
     )
     return SweepResult(record, failures)
@@ -361,21 +327,14 @@ def sweep_nonexistence(
 _WORKER_STATE: dict = {}
 
 
-def _init_search_worker(bound: int, method: str) -> None:
+def _init_search_worker(bound: int) -> None:
     _WORKER_STATE["sieve"] = sieve_primes(bound)
-    _WORKER_STATE["method"] = method
 
 
 def _search_job(args: tuple[int, int]) -> SearchRecord:
     m, bound = args
     record, _ = _scan_candidates(
-        m,
-        bound,
-        _WORKER_STATE["sieve"],
-        stop_at_first=True,
-        collect_failures=False,
-        workers=1,
-        method=_WORKER_STATE["method"],
+        m, bound, _WORKER_STATE["sieve"], collect_failures=False
     )
     return record
 
@@ -386,7 +345,6 @@ def search_all(
     bound: int = DEFAULT_SIEVE_BOUND,
     *,
     workers: int = 1,
-    method: str = "auto",
     progress: ProgressFn | None = None,
     resume_records: Iterable[SearchRecord] = (),
     on_record: Callable[[SearchRecord], None] | None = None,
@@ -422,17 +380,14 @@ def search_all(
             if m in resume:
                 emit(resume[m])
             else:
-                rec, _ = _scan_candidates(
-                    m, bound, sieve,
-                    stop_at_first=True, collect_failures=False, method=method,
-                )
+                rec, _ = _scan_candidates(m, bound, sieve, collect_failures=False)
                 emit(rec)
         return out
 
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_search_worker,
-        initargs=(bound, method),
+        initargs=(bound,),
     ) as pool:
         computed = pool.map(_search_job, [(m, bound) for m in pending], chunksize=1)
         it = iter(computed)

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 
 from ramsey_forge.checker import (
+    _bitset_report,
     check_candidate,
     check_cyclic_basis,
     check_sum_free_fast,
@@ -30,6 +32,10 @@ def valid_pairs(n_max):
         for m in range(2, (N - 1) // 2 + 1):
             if (N - 1) % (2 * m) == 0:
                 yield N, m, x
+
+
+def bitset_reference(N, m, x):
+    return _bitset_report(_build_partition_unchecked(N, m, x))
 
 
 def test_symmetric_pass_and_fail():
@@ -116,8 +122,7 @@ def test_triangle_failure_witness():
     # the smallest construction that clears symmetric, sum-free, and
     # basis but leaves a pair uncovered (located by scanning upward)
     N, m, x = 2441, 20, 6
-    for method in ("bitset", "counting"):
-        rep = check_candidate(N, m, x, method=method)
+    for rep in (check_candidate(N, m, x), bitset_reference(N, m, x)):
         assert rep.flags() == (True, True, True, False)
         i = rep.witness.classes[1]
         z = rep.witness.residue
@@ -128,19 +133,18 @@ def test_triangle_failure_witness():
 
 def test_methods_agree_exactly_to_600():
     for N, m, x in valid_pairs(600):
-        b = check_candidate(N, m, x, method="bitset")
-        c = check_candidate(N, m, x, method="counting")
-        assert b == c, (N, m, x)
+        assert check_candidate(N, m, x) == bitset_reference(N, m, x), (N, m, x)
 
 
 def test_methods_agree_on_asymmetric_construction():
-    b = check_candidate(7, 2, 3, method="bitset")
-    c = check_candidate(7, 2, 3, method="counting")
-    assert b == c
-    assert b.flags() == (False, None, None, None)
+    c = check_candidate(7, 2, 3)
+    assert c == bitset_reference(7, 2, 3)
+    assert c.flags() == (False, None, None, None)
 
 
 def test_methods_agree_on_larger_sample():
+    # past the naive oracle's cap, the bit-mask reference is the
+    # independent check on the counting engine
     sieve = sieve_primes(30_000)
     sample = [
         (N, m)
@@ -152,30 +156,40 @@ def test_methods_agree_on_larger_sample():
     for N, m in sample:
         fs = prime_factors(N - 1, sieve)
         x = smallest_generator(N, fs)
-        assert check_candidate(N, m, x, "bitset") == check_candidate(N, m, x, "counting"), (N, m)
+        assert check_candidate(N, m, x) == bitset_reference(N, m, x), (N, m)
 
 
-def test_check_candidate_auto_matches_forced_methods():
+def test_check_candidate_matches_full_check_and_reference():
     for N, m, x in [(5, 2, 2), (13, 3, 2), (41, 4, 6), (491, 7, 2)]:
-        auto = check_candidate(N, m, x)
-        assert auto == check_candidate(N, m, x, "bitset")
-        assert auto == check_candidate(N, m, x, "counting")
-
-
-def test_check_candidate_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        check_candidate(5, 2, 2, method="fancy")
+        rep = check_candidate(N, m, x)
+        assert rep == full_fast_check(build_partition(N, m, x))
+        assert rep == bitset_reference(N, m, x)
 
 
 def test_check_candidate_rejects_non_generator():
-    for method in ("bitset", "counting"):
-        with pytest.raises(ValueError):
-            check_candidate(13, 3, 3, method=method)
+    with pytest.raises(ValueError):
+        check_candidate(13, 3, 3)
+    with pytest.raises(ValueError):
+        bitset_reference(13, 3, 3)
+
+
+def test_check_candidate_rejects_modulus_past_int64_limit():
+    # 2^31 + 11 is prime; its walk would take gigabytes, so the limit
+    # must be named before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2147483648"):
+            check_candidate(2_147_483_659, 2, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_witnesses_recheck_against_definitions_to_600():
     for N, m, x in valid_pairs(600):
-        rep = check_candidate(N, m, x, method="bitset")
+        rep = check_candidate(N, m, x)
+        assert rep == bitset_reference(N, m, x)
         if rep.overall:
             continue
         w = rep.witness

@@ -3,8 +3,10 @@ import pytest
 
 from ramsey_forge.classcount import (
     class_index_table,
+    class_zero,
     counting_report,
     pair_sum_class_matrix,
+    power_walk,
 )
 from ramsey_forge.numbertheory import prime_factors, sieve_primes, smallest_generator
 
@@ -42,6 +44,36 @@ def test_class_table_matches_sequential_walk():
         x = smallest_generator(N, fs)
         for m in [d for d in range(1, 13) if (N - 1) % d == 0]:
             assert class_index_table(N, m, x).tolist() == reference_class_table(N, m, x), (N, m)
+
+
+def test_power_walk_lists_successive_powers():
+    # lengths around the doubling steps, and products of residues just
+    # under 2^31 that int64 must still hold exactly
+    for g, n, N in [(2, 0, 13), (2, 1, 13), (2, 12, 13), (3, 7, 97), (5, 33, 97),
+                    (3, 1000, 95801), (7, 1025, 2**31 - 1)]:
+        assert power_walk(g, n, N).tolist() == [pow(g, e, N) for e in range(n)], (g, n, N)
+
+
+def test_kernel_matches_power_residue_definition_to_2000():
+    # Only pow: class 0 is {z : z^k = 1}, and z lies in class i iff
+    # (z * x^-i)^k = z^k * x^(-ik) = 1.  The m values x^(-ik) are
+    # distinct for a generator x, so exactly one i fits each z.
+    sieve = sieve_primes(2000)
+    for N in sieve.primes.tolist()[1:]:
+        x = smallest_generator(N, prime_factors(N - 1, sieve))
+        for m in [d for d in range(1, N) if (N - 1) % d == 0]:
+            k = (N - 1) // m
+            zk = [pow(z, k, N) for z in range(N)]
+            X0 = class_zero(N, m, x).tolist()
+            assert len(X0) == k and X0[0] == 1, (N, m)
+            assert set(X0) == {z for z in range(1, N) if zk[z] == 1}, (N, m)
+            unit = [pow(x, -i * k, N) for i in range(m)]
+            assert len(set(unit)) == m
+            cls = class_index_table(N, m, x).tolist()
+            assert cls[0] == -1
+            for z in range(1, N):
+                i = cls[z]
+                assert 0 <= i < m and zk[z] * unit[i] % N == 1, (N, m, z)
 
 
 def test_class_table_rejects_non_generator():

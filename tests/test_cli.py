@@ -36,7 +36,8 @@ def test_parse_m_range():
         _parse_m_range("9..3")
 
 
-def test_resolve_workers_priority(monkeypatch):
+def test_resolve_workers_priority(monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.delenv("RAMSEY_FORGE_WORKERS", raising=False)
     assert _resolve_workers(3) == 3
     assert _resolve_workers(0) == 1
@@ -44,7 +45,25 @@ def test_resolve_workers_priority(monkeypatch):
     assert _resolve_workers(None) == 5
     assert _resolve_workers(2) == 2  # explicit flag beats env
     monkeypatch.delenv("RAMSEY_FORGE_WORKERS")
-    assert _resolve_workers(None) >= 1
+    assert _resolve_workers(None) == 8
+
+    # never more workers than CPUs, from the flag or from the env
+    assert _resolve_workers(100_000) == 8
+    monkeypatch.setenv("RAMSEY_FORGE_WORKERS", "100000")
+    assert _resolve_workers(None) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_workers(None) == 1
+    assert _resolve_workers(4) == 1
+
+    # a non-integer env value is a clear error, before any work starts
+    monkeypatch.setenv("RAMSEY_FORGE_WORKERS", "lots")
+    with pytest.raises(ValueError, match="RAMSEY_FORGE_WORKERS"):
+        _resolve_workers(None)
+    for argv in (["search", "--m", "2", "--bound", "100"],
+                 ["sweep", "--m", "3", "--bound", "12"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "error: RAMSEY_FORGE_WORKERS must be an integer, got 'lots'" in err
 
 
 def test_search_csv_output(capsys):

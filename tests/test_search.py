@@ -2,7 +2,6 @@ import pytest
 
 from ramsey_forge.numbertheory import sieve_primes
 from ramsey_forge.search import (
-    RamseyBoundTable,
     SearchRecord,
     candidate_primes,
     default_sweep_bound,
@@ -50,24 +49,13 @@ def test_ramsey_bound_values():
     assert ramsey_recursive_bound(4) == 66
     assert ramsey_recursive_bound(8) == 109_602
     assert ramsey_recursive_bound(13) == 16_926_797_487
+    for c in range(3, 14):
+        assert ramsey_recursive_bound(c) == c * (ramsey_recursive_bound(c - 1) - 1) + 2
 
 
 def test_ramsey_bound_rejects_small():
     with pytest.raises(ValueError):
         ramsey_recursive_bound(1)
-
-
-def test_ramsey_bound_table():
-    t = RamseyBoundTable.up_to(13)
-    assert t.bound(2) == 6
-    assert t.bound(8) == 109_602
-    assert t.bound(13) == 16_926_797_487
-    for c in range(3, 14):
-        assert t.bound(c) == c * (t.bound(c - 1) - 1) + 2
-    with pytest.raises(ValueError):
-        t.bound(14)
-    with pytest.raises(ValueError):
-        RamseyBoundTable.up_to(1)
 
 
 def test_search_first_hit(sieve):
