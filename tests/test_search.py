@@ -49,13 +49,21 @@ def test_ramsey_bound_values():
     assert ramsey_recursive_bound(4) == 66
     assert ramsey_recursive_bound(8) == 109_602
     assert ramsey_recursive_bound(13) == 16_926_797_487
-    for c in range(3, 14):
-        assert ramsey_recursive_bound(c) == c * (ramsey_recursive_bound(c - 1) - 1) + 2
 
 
 def test_ramsey_bound_rejects_small():
     with pytest.raises(ValueError):
         ramsey_recursive_bound(1)
+
+
+def test_ramsey_bound_table():
+    # the recurrence R(c) = c * (R(c-1) - 1) + 2 over c = 3..13
+    bounds = {c: ramsey_recursive_bound(c) for c in range(2, 14)}
+    assert bounds[2] == 6
+    assert bounds[8] == 109_602
+    assert bounds[13] == 16_926_797_487
+    for c in range(3, 14):
+        assert bounds[c] == c * (bounds[c - 1] - 1) + 2
 
 
 def test_search_first_hit(sieve):
