@@ -135,7 +135,7 @@ def verify_row(
             sieve = sieve_primes(max(row.N - 1, 2))
         minimal_ok = True
         for N in candidate_primes(row.m, 0, row.N - 1, sieve):
-            _, passed, _, _ = _evaluate_candidate(N, row.m, False, small_sieve)
+            _, passed, _, _ = _evaluate_candidate(N, row.m, small_sieve)
             if passed:
                 minimal_ok = False
                 first_pass = N

@@ -1,7 +1,7 @@
 """Fast validity checks for single-generator partitions.
 
-`check_candidate` and `full_fast_check` both run the O(N) class/count
-pass from `classcount`, the one engine on the run-time path.
+`check_candidate` and `full_fast_check` both run the counting engine
+from `classcount`, the one engine on the run-time path.
 
 The bit-mask functions below compute the same flags and witnesses from
 explicit sumsets and are kept as an independent reference that the

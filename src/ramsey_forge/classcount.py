@@ -1,4 +1,4 @@
-"""Counting engine: all four conditions from one O(N) pass.
+"""Counting engine: the four conditions from the pair-sum class counts.
 
 Label every nonzero residue with the index of the power class that
 contains it: cls[x^e mod N] = e mod m.  For classes p, q let
@@ -19,6 +19,14 @@ a sum from X_p + X_q, and:
                                       p != q  (pairs (0, i) suffice:
                                       scaling by x^i shifts both class
                                       indices, reaching every pair).
+
+T holds the cyclotomic numbers of order m.  With k even, Gauss's
+relations (i, j) = (j, i) = (-i, j - i) give T[d][d] = T[0][-d mod m]
+(Storer, Cyclotomy and Difference Sets, 1967), so row 0 decides the
+cyclic basis, and `PowerCharacter` reads row 0 off the k elements of
+class 0 in O(k log N) without a table.  Only the few candidates that
+pass the first three conditions build the O(N) class table and the
+full matrix, for the triangle condition.
 
 Every class-0 walk and the class table come from one kernel,
 `power_walk`, which lists g^0..g^(n-1) mod N by doubling: once the
@@ -96,14 +104,16 @@ def sum_free_violations(X: np.ndarray, N: int) -> np.ndarray:
 def class_index_table(N: int, m: int, x: int) -> np.ndarray:
     """cls array of length N: cls[x^e] = e mod m, cls[0] = -1.
 
-    Raises if x does not generate the full group.
+    Stored in the smallest signed type that holds -m (int8 up to
+    m = 128, int16 up to 32,768), so the table costs one or two bytes
+    per residue.  Raises if x does not generate the full group.
     """
     if m < 1 or (N - 1) % m != 0:
         raise ValueError(f"class count {m} does not divide {N - 1}")
     # row j of the reshaped walk is x^(jm), ..., x^(jm + m - 1): classes 0..m-1
     powers = class_zero(N, 1, x).reshape(-1, m)
-    cls = np.full(N, -1, dtype=np.int64)
-    cls[powers] = np.arange(m, dtype=np.int64)
+    cls = np.full(N, -1, dtype=np.min_scalar_type(-m))
+    cls[powers] = np.arange(m, dtype=cls.dtype)
     return cls
 
 
@@ -111,28 +121,78 @@ def pair_sum_class_matrix(cls: np.ndarray, m: int) -> np.ndarray:
     """T[p][q] = number of ordered pairs (a, b), a + b = 1, with classes (p, q).
 
     The pairs are (a, N + 1 - a) for a = 2..N-1, so the partner classes
-    are just the class slice reversed.
+    are just the class slice reversed.  The codes p * m + q are built in
+    place in int64, the type `bincount` takes without a copy.
     """
-    u = cls[2:]
-    v = u[::-1]
-    return np.bincount(u * m + v, minlength=m * m).reshape(m, m)
+    codes = cls[2:].astype(np.int64)
+    codes *= m
+    codes += cls[:1:-1]
+    return np.bincount(codes, minlength=m * m).reshape(m, m)
 
 
-def _first_residue_in_classes(cls: np.ndarray, classes: set[int]) -> int:
-    mask = np.isin(cls, sorted(classes))
-    idx = int(mask.argmax())
-    if not mask[idx]:
+def _power_mod(z: np.ndarray, e: int, N: int) -> np.ndarray:
+    """z^e mod N elementwise for int64 residues z < N and e >= 1, by
+    square-and-multiply from the top bit; exact for N < 2^31."""
+    out = z.copy()
+    for bit in bin(e)[3:]:
+        out *= out
+        out %= N
+        if bit == "1":
+            out *= z
+            out %= N
+    return out
+
+
+class PowerCharacter:
+    """Class indices without the table: z = x^e has class e mod m, and
+    its m-th power character z^k = zeta^(e mod m) for zeta = x^k, so the
+    class is the position of z^k among zeta^0..zeta^(m-1).
+
+    Raises unless those m powers are distinct: with x^m of order k, as
+    `class_zero` checks, x^k of order m makes x a generator.
+    """
+
+    def __init__(self, N: int, m: int, x: int):
+        self.N, self.m, self.k = N, m, (N - 1) // m
+        roots = power_walk(pow(x, self.k, N), m, N)
+        self._order = np.argsort(roots)
+        self._roots = roots[self._order]
+        if (self._roots[1:] == self._roots[:-1]).any():
+            raise ValueError(f"x={x}: x^{self.k} has order below {m} mod {N}; "
+                             "not a generator")
+
+    def classes(self, z: np.ndarray) -> np.ndarray:
+        """Class index of each nonzero residue in the int64 array z."""
+        return self._order[np.searchsorted(self._roots, _power_mod(z, self.k, self.N))]
+
+    def row_zero(self, X: np.ndarray) -> np.ndarray:
+        """Row 0 of T: the classes of 1 - a over the class-0 walk X
+        (which starts at 1) past its first element."""
+        return np.bincount(self.classes((1 - X[1:]) % self.N), minlength=self.m)
+
+    def first_in(self, classes: np.ndarray) -> int:
+        """The smallest z >= 1 in one of `classes`, scanned in doubling
+        chunks; about m / len(classes) trials are needed."""
+        wanted = np.zeros(self.m, dtype=bool)
+        wanted[classes] = True
+        lo, size = 1, 64
+        while lo < self.N:
+            z = np.arange(lo, min(lo + size, self.N), dtype=np.int64)
+            hit = np.flatnonzero(wanted[self.classes(z)])
+            if hit.size:
+                return int(z[hit[0]])
+            lo, size = lo + size, 2 * size
         raise AssertionError("witness class unexpectedly empty")
-    return idx
 
 
 def counting_report(N: int, m: int, x: int) -> CheckReport:
     """Full four-condition report for the construction (N, m, x).
 
     Same flag order, short-circuiting, and witness conventions as the
-    bit-mask reference in `checker`, but the class/count pass replaces
-    per-class sumsets, so cost is O(N).  The sum-free test on class 0
-    alone rejects most candidates before the table is ever built.
+    bit-mask reference in `checker`.  Symmetry, the sum-free test and
+    the cyclic basis are read off class 0 and row 0 of T; only a
+    candidate that passes all three builds the O(N) class table and
+    the full matrix, for the triangle condition.
     """
     X = class_zero(N, m, x)
     if X.size % 2 != 0:
@@ -147,31 +207,24 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
         w = Witness("sum_free", (0, 0), int(bad.min()))
         return CheckReport(True, False, None, None, w)
 
-    cls = class_index_table(N, m, x)
-    T = pair_sum_class_matrix(cls, m)
-
-    diag = T.diagonal()
-    failing_d = np.flatnonzero(diag[1:] == 0) + 1
-    if failing_d.size:
-        # z of class j is missed by X_0 + X_0 exactly when the diagonal
-        # entry at d = -j mod m vanishes.
-        js = {(m - int(d)) % m for d in failing_d}
-        z = _first_residue_in_classes(cls, js)
-        w = Witness("cyclic_basis", (0,), z)
+    char = PowerCharacter(N, m, x)
+    # z of class j is missed by X_0 + X_0 exactly when T[d][d] vanishes
+    # for d = -j mod m, and T[d][d] = T[0][j].
+    missed = np.flatnonzero(char.row_zero(X)[1:] == 0) + 1
+    if missed.size:
+        w = Witness("cyclic_basis", (0,), char.first_in(missed))
         return CheckReport(True, True, False, None, w)
 
     if m > 1:
-        off = ~np.eye(m, dtype=bool)
-        if int(T[off].min()) == 0:
-            p_all = np.arange(m)
-            for i in range(1, m):
-                vec = T[p_all, (p_all + i) % m]
-                zero_p = np.flatnonzero(vec == 0)
-                if zero_p.size:
-                    js = {(m - int(p)) % m for p in zero_p}
-                    z = _first_residue_in_classes(cls, js)
-                    w = Witness("triangle", (0, i), z)
-                    return CheckReport(True, True, True, False, w)
-            raise AssertionError("off-diagonal zero vanished during witness scan")
+        T = pair_sum_class_matrix(class_index_table(N, m, x), m)
+        # gap[p, i]: T[p][p + i] vanishes, so X_0 + X_i misses class -p
+        p = np.arange(m)
+        gap = T[p[:, None], (p[:, None] + p) % m] == 0
+        pairs = np.flatnonzero(gap[:, 1:].any(axis=0)) + 1
+        if pairs.size:
+            i = int(pairs[0])
+            z = char.first_in((m - np.flatnonzero(gap[:, i])) % m)
+            w = Witness("triangle", (0, i), z)
+            return CheckReport(True, True, True, False, w)
 
     return CheckReport.all_passed()

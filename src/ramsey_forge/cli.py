@@ -24,6 +24,7 @@ from .search import (
     DEFAULT_SWEEP_BOUNDS,
     SEARCH_CSV_HEADER,
     SearchRecord,
+    check_bound,
     ramsey_recursive_bound,
     records_from_csv,
     records_from_jsonl,
@@ -110,6 +111,7 @@ def _cmd_search(args) -> int:
         return 1
     try:
         workers = _resolve_workers(args.workers)
+        check_bound(args.bound)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -117,7 +119,15 @@ def _cmd_search(args) -> int:
 
     resume_records: list[SearchRecord] = []
     if args.resume and args.out and os.path.exists(args.out):
-        text = open(args.out, encoding="ascii").read()
+        with open(args.out, encoding="ascii") as f:
+            text = f.read()
+        # records are written a line at a time and flushed, so an
+        # unterminated last line is a record cut off mid-write
+        cut = text.rfind("\n") + 1
+        if text[cut:]:
+            print(f"search: dropping the unfinished last line of {args.out}: "
+                  f"{text[cut:]!r}", file=sys.stderr)
+            text = text[:cut]
         parse = records_from_csv if args.format == "csv" else records_from_jsonl
         try:
             resume_records = parse(text)

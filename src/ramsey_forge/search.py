@@ -6,11 +6,12 @@ single-generator partition passes the full check, `sweep_nonexistence`
 walks all of them and logs why each fails.
 
 The economics: nearly every candidate dies on the sum-free condition,
-so a search first screens each one on the class-0 subgroup alone: one
-vectorised walk of its k elements and one membership test of 1 - a
-against the walk, without building the O(N) class table.  Only
-survivors pay for a full check.  A sweep skips the screen, because it
-logs a witness for every candidate and the full check supplies it.
+and most of the rest on the cyclic basis, and the counting engine
+decides both from the k elements of class 0 without building the O(N)
+class table.  So searches and sweeps send every candidate straight to
+`check_candidate`; only the few that reach the triangle condition pay
+for a table.  A search drops the witness of each failure, a sweep logs
+it.
 
 Two runs with the same (m, bound) produce identical records whatever
 the worker count: candidates are evaluated speculatively in blocks but
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .checker import check_candidate
-from .classcount import class_zero, sum_free_violations
+from .classcount import MAX_COUNTING_MODULUS
 from .numbertheory import (
     DEFAULT_SIEVE_BOUND,
     PrimeSieve,
@@ -165,15 +166,8 @@ def candidate_primes(m: int, lo: int, hi: int, sieve: PrimeSieve) -> list[int]:
     return grid[sieve.is_prime[grid]].tolist()
 
 
-def _sum_free_screen_fails(N: int, m: int, x: int) -> bool:
-    """True iff 1 is a sum of two class-0 elements, decided from the
-    class-0 walk alone with the same test `counting_report` runs.
-    """
-    return sum_free_violations(class_zero(N, m, x), N).size > 0
-
-
 def _evaluate_candidate(
-    N: int, m: int, need_witness: bool, small_sieve: PrimeSieve
+    N: int, m: int, small_sieve: PrimeSieve
 ) -> tuple[int, bool, str | None, Witness | None]:
     """(x, passed, failed_check, witness) for one qualifying modulus.
 
@@ -181,8 +175,6 @@ def _evaluate_candidate(
     """
     factors = prime_factors(N - 1, small_sieve)
     x = smallest_generator(N, factors)
-    if not need_witness and _sum_free_screen_fails(N, m, x):
-        return x, False, "sum_free", None
     report = check_candidate(N, m, x)
     if report.overall:
         return x, True, None, None
@@ -190,10 +182,10 @@ def _evaluate_candidate(
 
 
 def _evaluate_block(
-    args: tuple[Sequence[int], int, bool, PrimeSieve]
+    args: tuple[Sequence[int], int, PrimeSieve]
 ) -> list[tuple[int, int, bool, str | None, Witness | None]]:
-    Ns, m, need_witness, small_sieve = args
-    return [(N, *_evaluate_candidate(N, m, need_witness, small_sieve)) for N in Ns]
+    Ns, m, small_sieve = args
+    return [(N, *_evaluate_candidate(N, m, small_sieve)) for N in Ns]
 
 
 def _scan_candidates(
@@ -218,9 +210,7 @@ def _scan_candidates(
 
     if workers <= 1 or len(candidates) <= BLOCK_SIZE:
         for idx, N in enumerate(candidates):
-            x, passed, failed, witness = _evaluate_candidate(
-                N, m, collect_failures, small_sieve
-            )
+            x, passed, failed, witness = _evaluate_candidate(N, m, small_sieve)
             if passed:
                 # a sweep that finds one reports it rather than keep scanning
                 return finish("found", N, x, idx + 1), tuple(failures)
@@ -247,7 +237,7 @@ def _scan_candidates(
                 window.append(
                     pool.submit(
                         _evaluate_block,
-                        (blocks[next_block], m, collect_failures, small_sieve),
+                        (blocks[next_block], m, small_sieve),
                     )
                 )
                 next_block += 1
@@ -265,9 +255,22 @@ def _scan_candidates(
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _sieve_for(bound: int, sieve: PrimeSieve | None) -> PrimeSieve:
+def check_bound(bound: int) -> None:
+    """Refuse a search bound no sieve should be built for, before
+    anything is allocated."""
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
+    if bound >= MAX_COUNTING_MODULUS:
+        # the sieve takes a byte per integer, and no modulus this large
+        # can be checked anyway
+        raise ValueError(
+            f"bound {bound} too large: moduli must stay below "
+            f"MAX_COUNTING_MODULUS = 2^31 = {MAX_COUNTING_MODULUS}"
+        )
+
+
+def _sieve_for(bound: int, sieve: PrimeSieve | None) -> PrimeSieve:
+    check_bound(bound)
     if sieve is not None and sieve.bound >= bound:
         return sieve
     return sieve_primes(bound)
@@ -359,6 +362,7 @@ def search_all(
     """
     if not 2 <= m_lo <= m_hi:
         raise ValueError(f"need 2 <= m_lo <= m_hi, got {m_lo}..{m_hi}")
+    check_bound(bound)
     resume = {
         r.m: r
         for r in resume_records

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from ramsey_forge import classcount
 from ramsey_forge.checker import (
     _bitset_report,
     check_candidate,
@@ -184,6 +185,22 @@ def test_check_candidate_rejects_modulus_past_int64_limit():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_cyclic_basis_failure_builds_no_table(monkeypatch):
+    # row 0 of the pair matrix decides the cyclic basis, so only a
+    # candidate that reaches the triangle condition builds a class table
+    def no_table(*args):
+        raise AssertionError("class table built")
+
+    monkeypatch.setattr(classcount, "class_index_table", no_table)
+    # the first two cyclic-basis failures of the m = 13 sweep
+    for N, z in [(53, 3), (131, 4)]:
+        rep = check_candidate(N, 13, 2)
+        assert rep.witness == Witness("cyclic_basis", (0,), z)
+        assert rep == bitset_reference(N, 13, 2)
+    with pytest.raises(AssertionError, match="class table built"):
+        check_candidate(2441, 20, 6)
 
 
 def test_witnesses_recheck_against_definitions_to_600():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ramsey_forge.classcount import (
+    PowerCharacter,
     class_index_table,
     class_zero,
     counting_report,
@@ -74,6 +75,34 @@ def test_kernel_matches_power_residue_definition_to_2000():
             for z in range(1, N):
                 i = cls[z]
                 assert 0 <= i < m and zk[z] * unit[i] % N == 1, (N, m, z)
+
+
+def test_character_row_is_row_zero_of_pair_matrix_to_2000():
+    # Row 0 from the m-th power character must equal row 0 of the full
+    # matrix, and with k even the diagonal must read T[d][d] = T[0][-d],
+    # which is what lets row 0 alone decide the cyclic basis.
+    sieve = sieve_primes(2000)
+    for N in sieve.primes.tolist()[1:]:
+        x = smallest_generator(N, prime_factors(N - 1, sieve))
+        for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
+            cls = class_index_table(N, m, x)
+            assert cls.itemsize == (1 if m <= 128 else 2), (N, m)
+            T = pair_sum_class_matrix(cls, m)
+            row = PowerCharacter(N, m, x).row_zero(class_zero(N, m, x))
+            assert row.tolist() == T[0].tolist(), (N, m)
+            for d in range(m):
+                assert T[d][d] == T[0][-d % m], (N, m, d)
+
+
+def test_character_classes_and_first_in():
+    N, m, x = 2441, 20, 6
+    cls = class_index_table(N, m, x)
+    char = PowerCharacter(N, m, x)
+    z = np.arange(1, N, dtype=np.int64)
+    assert char.classes(z).tolist() == cls[1:].tolist()
+    for targets in ([0], [7], [3, 19], list(range(1, m))):
+        first = int(np.flatnonzero(np.isin(cls, targets))[0])
+        assert char.first_in(np.array(targets)) == first, targets
 
 
 def test_class_table_rejects_non_generator():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,73 @@ def test_search_resume_rejects_corrupt_file(tmp_path, capsys):
     )
     assert code == 1
     assert "cannot resume" in err
+
+
+def records_without_elapsed(text, fmt):
+    if fmt == "csv":
+        return strip_elapsed(text)
+    rows = [json.loads(ln) for ln in text.splitlines()]
+    for r in rows:
+        del r["elapsed_ms"]
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_search_resume_drops_torn_last_line(tmp_path, capsys, fmt):
+    argv = ["search", "--m", "2..9", "--bound", "2000", "--format", fmt,
+            "--workers", "1", "-q"]
+    code, whole, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = whole.splitlines(keepends=True)
+    # a run killed while writing its fifth line leaves half of it behind
+    kept = "".join(lines[:4])
+    torn = kept + lines[4][: len(lines[4]) // 2]
+    out = tmp_path / "records.out"
+    out.write_text(torn)
+    code, _, err = run_cli(capsys, *argv, "--out", str(out), "--resume")
+    assert code == 0
+    assert f"dropping the unfinished last line of {out}" in err
+    resumed = out.read_text()
+    assert resumed.startswith(kept)
+    assert records_without_elapsed(resumed, fmt) == records_without_elapsed(whole, fmt)
+
+    # a complete line that does not parse is still refused
+    out.write_text(torn + "\n")
+    code, _, err = run_cli(capsys, *argv, "--out", str(out), "--resume")
+    assert code == 1
+    assert "cannot resume" in err
+    assert out.read_text() == torn + "\n"
+
+
+def test_search_and_sweep_refuse_bad_bounds(tmp_path, capsys):
+    # a bound below 2 used to break the worker pool with a traceback
+    code, out, err = run_cli(capsys, "search", "--m", "2", "--bound", "1", "--workers", "2")
+    assert code == 1 and out == ""
+    assert "error: bound must be >= 2, got 1" in err
+
+    out = tmp_path / "records.csv"
+    code, _, _ = run_cli(
+        capsys, "search", "--m", "2..3", "--bound", "100", "--out", str(out), "-q"
+    )
+    assert code == 0
+    before = out.read_text()
+    tracemalloc.start()
+    try:
+        for argv in (
+            ["search", "--m", "2..3", "--bound", "2147483648", "--out", str(out),
+             "--resume"],
+            ["sweep", "--m", "13", "--bound", "2147483648"],
+        ):
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 1 and stdout == ""
+            assert err.startswith("error: bound 2147483648 too large")
+            assert "MAX_COUNTING_MODULUS" in err
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the refused search leaves the file it would resume from as it was
+    assert out.read_text() == before
 
 
 def test_sweep_explicit_bound(capsys):

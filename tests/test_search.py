@@ -1,9 +1,14 @@
+import tracemalloc
+
 import pytest
 
+from ramsey_forge import search as search_mod
+from ramsey_forge.classcount import MAX_COUNTING_MODULUS
 from ramsey_forge.numbertheory import sieve_primes
 from ramsey_forge.search import (
     SearchRecord,
     candidate_primes,
+    check_bound,
     default_sweep_bound,
     ramsey_recursive_bound,
     records_from_csv,
@@ -196,6 +201,29 @@ def test_search_all_resume_reuses_matching_records(sieve):
     # a different bound invalidates the cache
     fresh = search_all(2, 7, 1_000, workers=1, resume_records=first)
     assert all(r.bound_used == 1_000 for r in fresh)
+
+
+def test_bound_past_int64_limit_refused_before_allocating(monkeypatch):
+    # a sieve takes a byte per integer and no modulus of 2^31 or more can
+    # be checked, so the bound is refused before any sieve or pool exists
+    def no_pool(*args, **kwargs):
+        raise AssertionError("worker pool started")
+
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", no_pool)
+    check_bound(MAX_COUNTING_MODULUS - 1)
+    tracemalloc.start()
+    try:
+        for run in (
+            lambda: search_min_modulus(2, MAX_COUNTING_MODULUS),
+            lambda: sweep_nonexistence(13, MAX_COUNTING_MODULUS),
+            lambda: search_all(2, 3, 2**40, workers=2),
+        ):
+            with pytest.raises(ValueError, match="MAX_COUNTING_MODULUS"):
+                run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_search_all_rejects_bad_range():
