@@ -101,6 +101,20 @@ def sum_free_violations(X: np.ndarray, N: int) -> np.ndarray:
     return X[mask[(1 - X) % N]]
 
 
+def class_columns(N: int, m: int, x: int) -> np.ndarray:
+    """The walk x^0..x^(N-2) in rows of m, so column i is class i.
+
+    Raises if m does not divide N - 1 or x does not generate a cyclic
+    group of order N - 1: x^(N-1) != 1 (as for any non-unit x), or the
+    walk returns to 1 early.
+    """
+    if m < 1 or (N - 1) % m != 0:
+        raise ValueError(f"class count {m} does not divide {N - 1}")
+    if N > 2 and pow(x, N - 1, N) != 1:
+        raise ValueError(f"x={x} is not a generator mod {N}: x^{N - 1} != 1")
+    return class_zero(N, 1, x).reshape(-1, m)
+
+
 def class_index_table(N: int, m: int, x: int) -> np.ndarray:
     """cls array of length N: cls[x^e] = e mod m, cls[0] = -1.
 
@@ -108,10 +122,7 @@ def class_index_table(N: int, m: int, x: int) -> np.ndarray:
     m = 128, int16 up to 32,768), so the table costs one or two bytes
     per residue.  Raises if x does not generate the full group.
     """
-    if m < 1 or (N - 1) % m != 0:
-        raise ValueError(f"class count {m} does not divide {N - 1}")
-    # row j of the reshaped walk is x^(jm), ..., x^(jm + m - 1): classes 0..m-1
-    powers = class_zero(N, 1, x).reshape(-1, m)
+    powers = class_columns(N, m, x)
     cls = np.full(N, -1, dtype=np.min_scalar_type(-m))
     cls[powers] = np.arange(m, dtype=cls.dtype)
     return cls

@@ -8,7 +8,9 @@ Class zero is the set of m-th power residues
 the unique subgroup of order k (unique because the group is cyclic, so
 X_0 does not depend on which generator was chosen).  The remaining
 classes are its cosets X_i = x * X_{i-1}, and together they partition
-Z_N \\ {0} into m classes of k elements each.
+Z_N \\ {0} into m classes of k elements each.  All m are read off one
+power walk x^0, x^1, ..., x^(N-2): laid out in rows of m, column i
+holds x^(jm + i), which is class i.
 
 Constructors reject inputs that cannot produce a usable partition:
 build_partition additionally requires N = 1 (mod 2m), i.e. k even,
@@ -19,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classcount import class_zero
-from .residues import ResidueSet, scale_set
+from .classcount import class_columns, class_zero
+from .residues import ResidueSet
 
 
 @dataclass(frozen=True)
@@ -50,33 +52,24 @@ def build_class_zero(N: int, m: int, x: int) -> ResidueSet:
     return ResidueSet.from_elements(N, class_zero(N, m, x).tolist())
 
 
-def _partition_from_class_zero(N: int, m: int, x: int, X0: ResidueSet) -> CyclotomicPartition:
-    classes = [X0]
-    cur = X0
-    for _ in range(m - 1):
-        cur = scale_set(cur, x)
-        classes.append(cur)
-    union_bits = 0
-    for c in classes:
-        union_bits |= c.bits
-    if union_bits != ResidueSet.nonzero(N).bits or union_bits.bit_count() != N - 1:
-        raise ValueError(f"classes of x={x} mod {N} overlap; not a generator")
-    return CyclotomicPartition(N, m, (N - 1) // m, x % N, tuple(classes))
-
-
 def build_partition(N: int, m: int, x: int) -> CyclotomicPartition:
-    """All m classes, validated to tile Z_N \\ {0} exactly.
+    """All m classes, read as the columns of one power walk of x.
 
     Demands N = 1 (mod 2m): with k odd no class is symmetric, so such
     moduli can never carry a valid multi-basis and are rejected here
-    rather than wasting checker time downstream.
+    rather than wasting checker time downstream.  Raises if x is not a
+    generator.
     """
     if m < 1 or N % (2 * m) != 1:
         raise ValueError(f"need N = 1 (mod 2m); got N={N}, m={m}")
-    return _partition_from_class_zero(N, m, x, build_class_zero(N, m, x))
+    return _build_partition_unchecked(N, m, x)
 
 
 def _build_partition_unchecked(N: int, m: int, x: int) -> CyclotomicPartition:
-    # Test hook: skips the k-even congruence (still validates the tiling)
-    # so checker failure paths on asymmetric partitions can be exercised.
-    return _partition_from_class_zero(N, m, x, build_class_zero(N, m, x))
+    # Test hook: skips the k-even congruence so checker failure paths on
+    # asymmetric partitions can be exercised.  A generator's N - 1 powers
+    # are distinct, so the columns of its walk tile Z_N \ {0}; class_columns
+    # raises for m not dividing N - 1 and for any x that is no generator.
+    walk = class_columns(N, m, x)
+    classes = tuple(ResidueSet.from_elements(N, walk[:, i].tolist()) for i in range(m))
+    return CyclotomicPartition(N, m, (N - 1) // m, x % N, classes)

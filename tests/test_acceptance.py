@@ -1,8 +1,10 @@
 """Acceptance gate: the ten binding criteria for this artifact.
 
 Each test asserts one criterion together with its wall-clock budget and
-appends a single PASS/FAIL line to acceptance_report.txt next to the
-package root, so a full run leaves a ten-line verdict behind.
+appends a single PASS/FAIL line to build/acceptance_report.txt under the
+repository root, so a full run leaves a ten-line verdict behind.  The
+build/ directory is git-ignored, so a test run leaves the tree clean;
+the committed acceptance_report.txt is refreshed by copying it over.
 """
 
 import json
@@ -32,7 +34,7 @@ from ramsey_forge.partition import build_class_zero, build_partition
 from ramsey_forge.residues import ResidueSet, sumset
 from ramsey_forge.search import ramsey_recursive_bound, records_from_csv
 
-REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
+REPORT_PATH = Path(__file__).resolve().parent.parent / "build" / "acceptance_report.txt"
 
 _LINES: list[str] = []
 
@@ -41,6 +43,7 @@ _LINES: list[str] = []
 def _write_report():
     _LINES.clear()
     yield
+    REPORT_PATH.parent.mkdir(exist_ok=True)
     REPORT_PATH.write_text("\n".join(_LINES) + "\n", encoding="ascii")
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from ramsey_forge.classcount import (
     PowerCharacter,
+    class_columns,
     class_index_table,
     class_zero,
     counting_report,
@@ -10,6 +11,7 @@ from ramsey_forge.classcount import (
     power_walk,
 )
 from ramsey_forge.numbertheory import prime_factors, sieve_primes, smallest_generator
+from ramsey_forge.partition import build_partition, _build_partition_unchecked
 
 
 def reference_class_table(N, m, x):
@@ -112,6 +114,19 @@ def test_class_table_rejects_non_generator():
         class_index_table(13, 3, 0)
     with pytest.raises(ValueError):
         class_index_table(13, 5, 2)
+
+
+def test_class_columns_are_the_classes_and_reject_non_generators():
+    cols = class_columns(13, 3, 2)
+    assert [sorted(c) for c in cols.T.tolist()] == [[1, 5, 8, 12], [2, 3, 10, 11], [4, 6, 7, 9]]
+    # 5 has order 4 mod 13; 3 is no unit mod 9, so its walk never returns to 1
+    for N, m, x in [(13, 3, 5), (9, 2, 3), (9, 4, 2)]:
+        with pytest.raises(ValueError, match="not a generator"):
+            class_columns(N, m, x)
+        with pytest.raises(ValueError, match="not a generator"):
+            build_partition(N, m, x)
+    with pytest.raises(ValueError, match="class count 5 does not divide 12"):
+        _build_partition_unchecked(13, 5, 2)
 
 
 def test_pair_matrix_matches_definition():

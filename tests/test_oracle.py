@@ -1,9 +1,16 @@
-import pytest
+import random
 
-from ramsey_forge.checker import full_fast_check
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ramsey_forge import oracle
+from ramsey_forge.checker import check_candidate, full_fast_check
+from ramsey_forge.numbertheory import is_generator, prime_factors, sieve_primes
 from ramsey_forge.oracle import (
     LabeledPartition,
     Relation,
+    _as_labeled,
     atom_decomposition,
     exhaustive_small_scan,
     naive_check,
@@ -11,7 +18,48 @@ from ramsey_forge.oracle import (
     relation_algebra_check,
 )
 from ramsey_forge.partition import build_partition, _build_partition_unchecked
-from ramsey_forge.report import Witness
+from ramsey_forge.report import CheckReport, Witness
+
+
+def _definitional_check(p):
+    """The set-comprehension form of naive_check, kept as its reference:
+    every sumset is a Python set built pair by pair."""
+    p = _as_labeled(p)
+    N = p.N
+    classes = [sorted(c) for c in p.classes]
+    csets = [set(c) for c in p.classes]
+
+    for i, c in enumerate(classes):
+        for a in c:
+            if (N - a) % N not in csets[i]:
+                w = Witness("symmetric", (i,), a)
+                return CheckReport(False, None, None, None, w)
+
+    self_sums = [{(a + b) % N for a in c for b in c} for c in classes]
+
+    for i, c in enumerate(classes):
+        bad = self_sums[i] & csets[i]
+        if bad:
+            w = Witness("sum_free", (i, i), min(bad))
+            return CheckReport(True, False, None, None, w)
+
+    universe = set(range(N))
+    for i, c in enumerate(classes):
+        expected = universe - csets[i]
+        if self_sums[i] != expected:
+            w = Witness("cyclic_basis", (i,), min(self_sums[i] ^ expected))
+            return CheckReport(True, True, False, None, w)
+
+    target = universe - {0}
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            # addition is commutative, so (i, j) settles (j, i) too
+            s = {(a + b) % N for a in classes[i] for b in classes[j]}
+            if s != target:
+                w = Witness("triangle", (i, j), min(s ^ target))
+                return CheckReport(True, True, True, False, w)
+
+    return CheckReport.all_passed()
 
 
 def test_labeled_partition_validation():
@@ -151,3 +199,139 @@ def test_fast_report_equals_naive_report_structurally():
     # single-generator input where both use class-0 based witnesses
     p = build_partition(5, 2, 2)
     assert full_fast_check(p) == naive_check(p)
+
+
+def test_naive_check_equals_definitional_check_to_300():
+    for rec in exhaustive_small_scan(300):
+        p = build_partition(rec.N, rec.m, rec.x)
+        assert _definitional_check(p) == naive_check(p) == rec.naive, (rec.N, rec.m)
+
+
+# symmetric, sum-free and a cyclic basis in every class, and classes 0
+# and 1 cover Z_41 \ {0} together, but classes 1 and 2 miss a residue
+_TRIANGLE_ON_1_2 = [
+    [1, 7, 10, 12, 16, 25, 29, 31, 34, 40],
+    [2, 5, 8, 14, 15, 26, 27, 33, 36, 39],
+    [3, 4, 11, 13, 18, 23, 28, 30, 37, 38],
+    [6, 9, 17, 19, 20, 21, 22, 24, 32, 35],
+]
+
+
+@pytest.mark.parametrize(
+    "N, sets, witness",
+    [
+        # classes of unequal sizes: all sum-free, but {4} is no basis
+        (8, [[4], [1, 7], [2, 6], [3, 5]], Witness("cyclic_basis", (0,), 1)),
+        (10, [[5], [1, 9], [2, 3, 4, 6, 7, 8]], Witness("sum_free", (2, 2), 2)),
+        # an asymmetric class after a symmetric one
+        (7, [[1, 6], [2, 3], [4, 5]], Witness("symmetric", (1,), 2)),
+        # class 0 sum-free, class 1 not
+        (7, [[3, 4], [1, 2, 5, 6]], Witness("sum_free", (1, 1), 1)),
+        (41, _TRIANGLE_ON_1_2, Witness("triangle", (1, 2), 7)),
+    ],
+)
+def test_naive_check_equals_definitional_check_on_labeled_partitions(N, sets, witness):
+    p = LabeledPartition.from_sets(N, sets)
+    rep = naive_check(p)
+    assert rep == _definitional_check(p)
+    assert rep.witness == witness
+
+
+def test_sums_equals_pairwise_sumset_across_chunk_sizes():
+    rng = random.Random(5)
+    N = 1009
+    for size in (1, oracle.SUMSET_ROWS - 1, oracle.SUMSET_ROWS, oracle.SUMSET_ROWS + 1, 200):
+        A = sorted(rng.sample(range(N), size))
+        B = sorted(rng.sample(range(N), 3))
+        mask = oracle._sums(np.array(A), np.array(B), N)
+        assert set(np.flatnonzero(mask).tolist()) == {(a + b) % N for a in A for b in B}
+
+
+def test_naive_check_forms_self_sumsets_only_when_reached(monkeypatch):
+    formed = []
+    real = oracle._sums
+
+    def counting(A, B, N):
+        formed.append((len(A), len(B)))
+        return real(A, B, N)
+
+    monkeypatch.setattr(oracle, "_sums", counting)
+    # fails sum_free at class 0: one self-sumset, not m
+    assert naive_check(build_partition(29, 2, 2)).flags() == (True, False, None, None)
+    assert len(formed) == 1
+    # a cyclic-basis failure needs every class to pass sum_free first
+    formed.clear()
+    rep = naive_check(build_partition(13, 6, 2))
+    assert rep.flags() == (True, True, False, None)
+    assert len(formed) == 6
+
+
+_SIEVE = sieve_primes(600)
+
+
+def _generators(N):
+    factors = prime_factors(N - 1, _SIEVE)
+    return [g for g in range(2, N) if is_generator(g, N, factors)]
+
+
+_PROPERTY_CASES = [
+    (N, m)
+    for N in _SIEVE.primes.tolist()
+    if N >= 5
+    for m in range(2, N)
+    if (N - 1) % (2 * m) == 0
+]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(_PROPERTY_CASES), data=st.data())
+def test_naive_agrees_with_engine_for_any_generator(case, data):
+    N, m = case
+    x = data.draw(st.sampled_from(_generators(N)), label="x")
+    p = build_partition(N, m, x)
+    assert naive_check(p).flags() == check_candidate(N, m, x).flags()
+    for i, c in enumerate(p.classes):
+        scale = pow(x, i, N)
+        assert set(c) == {a * scale % N for a in p.classes[0]}, i
+
+
+def _recheck_witness(N, m, x, w, naive):
+    """Re-derive witness w of (N, m, x) from plain pow and set arithmetic."""
+    k = (N - 1) // m
+    X = [{pow(x, j * m + i, N) for j in range(k)} for i in range(m)]
+    nonzero = set(range(1, N))
+    if w.condition == "sum_free":
+        i = w.classes[0]
+        assert w.classes == (i, i)
+        if naive:
+            # least element of (X_i + X_i) inside X_i, for the first such i
+            hits = [{(a + b) % N for a in X[j] for b in X[j]} & X[j] for j in range(i + 1)]
+            assert not any(hits[:i]) and w.residue == min(hits[i])
+        else:
+            # least a in X_0 with 1 - a in X_0
+            assert i == 0
+            assert w.residue == min(a for a in X[0] if (1 - a) % N in X[0])
+    elif w.condition == "cyclic_basis":
+        i = w.classes[0]
+        for j in range(i + 1):
+            diff = {(a + b) % N for a in X[j] for b in X[j]} ^ (set(range(N)) - X[j])
+            assert bool(diff) == (j == i)
+        assert w.residue == min(diff)
+    elif w.condition == "triangle":
+        i, j = w.classes
+        diff = {(a + b) % N for a in X[i] for b in X[j]} ^ nonzero
+        assert w.residue == min(diff)
+    else:
+        pytest.fail(f"unexpected witness {w}")
+
+
+def test_scan_witnesses_recheck_against_their_definitions_to_600():
+    for rec in exhaustive_small_scan(600):
+        assert rec.agree, (rec.N, rec.m)
+        if rec.fast.witness is None:
+            assert rec.naive.witness is None
+            continue
+        _recheck_witness(rec.N, rec.m, rec.x, rec.fast.witness, naive=False)
+        _recheck_witness(rec.N, rec.m, rec.x, rec.naive.witness, naive=True)
+        if rec.fast.witness.condition != "sum_free":
+            assert rec.fast.witness == rec.naive.witness, (rec.N, rec.m)
