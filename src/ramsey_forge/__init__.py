@@ -13,14 +13,7 @@ from .catalog import (
     verify_row,
     verify_rows,
 )
-from .checker import (
-    check_candidate,
-    check_cyclic_basis,
-    check_sum_free_fast,
-    check_symmetric,
-    check_triangle_fast,
-    full_fast_check,
-)
+from .checker import check_candidate, full_fast_check
 from .classcount import class_index_table, counting_report, pair_sum_class_matrix
 from .numbertheory import (
     DEFAULT_SIEVE_BOUND,
@@ -42,9 +35,8 @@ from .oracle import (
     partition_atoms,
     relation_algebra_check,
 )
-from .partition import CyclotomicPartition, build_class_zero, build_partition
+from .partition import CyclotomicPartition, build_partition
 from .report import CheckReport, Witness
-from .residues import ResidueSet, scale_set, sumset
 from .search import (
     CandidateFailure,
     SearchRecord,
@@ -69,7 +61,6 @@ __all__ = [
     "LabeledPartition",
     "PrimeSieve",
     "Relation",
-    "ResidueSet",
     "RowVerification",
     "ScanRecord",
     "SearchRecord",
@@ -78,10 +69,6 @@ __all__ = [
     "atom_decomposition",
     "candidate_primes",
     "check_candidate",
-    "check_cyclic_basis",
-    "check_sum_free_fast",
-    "check_symmetric",
-    "check_triangle_fast",
     "class_index_table",
     "counting_report",
     "exhaustive_small_scan",
@@ -96,12 +83,10 @@ __all__ = [
     "prime_factors",
     "ramsey_recursive_bound",
     "relation_algebra_check",
-    "scale_set",
     "search_all",
     "search_min_modulus",
     "sieve_primes",
     "smallest_generator",
-    "sumset",
     "sweep_nonexistence",
     "verify_row",
     "verify_rows",

@@ -178,8 +178,7 @@ class EdgeColoring:
     def from_partition(cls, p: CyclotomicPartition) -> "EdgeColoring":
         table = np.full(p.N, -1, dtype=np.int64)
         for i, c in enumerate(p.classes):
-            for a in c:
-                table[a] = i
+            table[np.asarray(c)] = i
         rev = table[(p.N - np.arange(p.N)) % p.N]
         if not np.array_equal(table[1:], rev[1:]):
             raise ValueError("classes are not symmetric; edge colors would be ambiguous")

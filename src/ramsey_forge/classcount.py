@@ -70,15 +70,29 @@ def class_zero(N: int, m: int, x: int) -> np.ndarray:
     """The order-k subgroup X_0 = {x^(jm) : 0 <= j < k}, k = (N - 1) / m,
     in walk order (so it starts at 1).
 
-    Rejects m not dividing N - 1, and rejects x whose powers close up
-    early (fewer than k distinct elements means x is not a generator).
+    Rejects m not dividing N - 1, and any x that does not generate a
+    cyclic group of order N - 1.  x^(N-1) = 1 makes the order of x
+    divide N - 1; x^((N-1)/q) != 1 for every prime q dividing m, with
+    the walk of x^m not returning to 1 early, makes it exactly N - 1.
+    No unit mod a composite N has that order, so composite moduli are
+    rejected too.
     """
     if N < 3:
         raise ValueError(f"modulus must be an odd prime, got {N}")
     if m < 1 or (N - 1) % m != 0:
         raise ValueError(f"class count {m} does not divide {N - 1}")
-    if x % N == 0:
-        raise ValueError(f"generator {x} is 0 mod {N}")
+    if pow(x, N - 1, N) != 1:
+        raise ValueError(f"x={x} is not a generator mod {N}: x^{N - 1} != 1")
+    rest, q = m, 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest  # what is left of m is prime
+        if rest % q == 0:
+            if pow(x, (N - 1) // q, N) == 1:
+                raise ValueError(f"x={x} is not a generator mod {N}: x^({N - 1}/{q}) = 1")
+            while rest % q == 0:
+                rest //= q
+        q += 1
     k = (N - 1) // m
     X = power_walk(pow(x, m, N), k, N)
     repeat = np.flatnonzero(X[1:] == 1)
@@ -105,13 +119,10 @@ def class_columns(N: int, m: int, x: int) -> np.ndarray:
     """The walk x^0..x^(N-2) in rows of m, so column i is class i.
 
     Raises if m does not divide N - 1 or x does not generate a cyclic
-    group of order N - 1: x^(N-1) != 1 (as for any non-unit x), or the
-    walk returns to 1 early.
+    group of order N - 1 (see `class_zero`).
     """
     if m < 1 or (N - 1) % m != 0:
         raise ValueError(f"class count {m} does not divide {N - 1}")
-    if N > 2 and pow(x, N - 1, N) != 1:
-        raise ValueError(f"x={x} is not a generator mod {N}: x^{N - 1} != 1")
     return class_zero(N, 1, x).reshape(-1, m)
 
 
@@ -200,9 +211,9 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     """Full four-condition report for the construction (N, m, x).
 
     Same flag order, short-circuiting, and witness conventions as the
-    bit-mask reference in `checker`.  Symmetry, the sum-free test and
-    the cyclic basis are read off class 0 and row 0 of T; only a
-    candidate that passes all three builds the O(N) class table and
+    bit-mask reference the tests hold it to.  Symmetry, the sum-free
+    test and the cyclic basis are read off class 0 and row 0 of T; only
+    a candidate that passes all three builds the O(N) class table and
     the full matrix, for the triangle condition.
     """
     X = class_zero(N, m, x)

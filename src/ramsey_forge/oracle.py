@@ -6,7 +6,9 @@ no subgroup shortcuts, no class-0 reductions.  naive_check forms each
 sumset as numpy outer sums into a boolean mask over Z_N, and forms a
 class's self-sumset only when the checks reach that class, in check
 order.  It is the yardstick the fast checker is tested against, so it
-deliberately shares nothing with it beyond numpy.
+deliberately shares nothing with it beyond numpy.  Both partition
+types hold each class as an ascending int64 array, so every check here
+reads `.N` and `.classes` from either without converting.
 """
 
 from __future__ import annotations
@@ -29,44 +31,33 @@ RELATION_CAP = 200
 SUMSET_ROWS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledPartition:
     """An arbitrary partition of Z_N \\ {0} into labeled classes.
 
     Unlike CyclotomicPartition there is no generator structure: any
-    family of disjoint nonempty sets covering 1..N-1 is accepted.
+    family of disjoint nonempty sets covering 1..N-1 is accepted.  Each
+    class is stored as CyclotomicPartition stores it, an ascending
+    int64 array, so the checks below read either type alike.
     """
 
     N: int
-    classes: tuple[frozenset[int], ...]
+    classes: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        total = 0
         for i, c in enumerate(self.classes):
-            if not c:
+            if not c.size:
                 raise ValueError(f"class {i} is empty")
-            for e in c:
-                if not 1 <= e < self.N:
-                    raise ValueError(f"class {i} holds {e}, outside 1..{self.N - 1}")
-            total += len(c)
-            seen |= c
-        if total != len(seen) or len(seen) != self.N - 1:
+            outside = c[(c < 1) | (c >= self.N)]
+            if outside.size:
+                raise ValueError(f"class {i} holds {outside[0]}, outside 1..{self.N - 1}")
+        counts = np.bincount(np.concatenate(self.classes), minlength=self.N)
+        if (counts[1:] != 1).any():
             raise ValueError("classes do not partition Z_N \\ {0}")
 
     @classmethod
     def from_sets(cls, N: int, sets: Iterable[Iterable[int]]) -> "LabeledPartition":
-        return cls(N, tuple(frozenset(s) for s in sets))
-
-    @classmethod
-    def from_cyclotomic(cls, p: CyclotomicPartition) -> "LabeledPartition":
-        return cls(p.N, tuple(frozenset(c) for c in p.classes))
-
-
-def _as_labeled(p: LabeledPartition | CyclotomicPartition) -> LabeledPartition:
-    if isinstance(p, CyclotomicPartition):
-        return LabeledPartition.from_cyclotomic(p)
-    return p
+        return cls(N, tuple(np.array(sorted(set(s)), dtype=np.int64) for s in sets))
 
 
 def _sums(A: np.ndarray, B: np.ndarray, N: int) -> np.ndarray:
@@ -85,24 +76,22 @@ def naive_check(p: LabeledPartition | CyclotomicPartition) -> CheckReport:
     reports can be compared flag for flag.  Witnesses point at the
     first violation in (class indices, residue) order.
     """
-    p = _as_labeled(p)
     N = p.N
-    classes = [sorted(c) for c in p.classes]
-    csets = [set(c) for c in p.classes]
+    arrays = p.classes  # each ascending
 
-    for i, c in enumerate(classes):
-        for a in c:
-            if (N - a) % N not in csets[i]:
-                w = Witness("symmetric", (i,), a)
-                return CheckReport(False, None, None, None, w)
+    for i, a in enumerate(arrays):
+        member = np.zeros(N, dtype=bool)
+        member[a] = True
+        bad = a[~member[(N - a) % N]]
+        if bad.size:
+            w = Witness("symmetric", (i,), int(bad[0]))
+            return CheckReport(False, None, None, None, w)
 
-    arrays, self_sums = [], []
-    for i, c in enumerate(classes):
-        a = np.array(c, dtype=np.int64)
+    self_sums = []
+    for i, a in enumerate(arrays):
         s = _sums(a, a, N)
-        arrays.append(a)
         self_sums.append(s)
-        bad = a[s[a]]  # ascending, as c is
+        bad = a[s[a]]
         if bad.size:
             w = Witness("sum_free", (i, i), int(bad[0]))
             return CheckReport(True, False, None, None, w)
@@ -195,8 +184,7 @@ class Relation:
 
 def partition_atoms(p: LabeledPartition | CyclotomicPartition) -> list[Relation]:
     """The difference relations A_i = {(u, v) : u - v in X_i}."""
-    p = _as_labeled(p)
-    return [Relation.from_difference_set(p.N, c) for c in p.classes]
+    return [Relation.from_difference_set(p.N, c.tolist()) for c in p.classes]
 
 
 def relation_algebra_check(
@@ -210,7 +198,6 @@ def relation_algebra_check(
 
     Quadratic in N, so moduli above `cap` are rejected rather than run.
     """
-    p = _as_labeled(p)
     N = p.N
     if N > cap:
         raise ValueError(f"modulus {N} exceeds relation-algebra cap {cap}")

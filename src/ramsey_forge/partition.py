@@ -10,7 +10,9 @@ X_0 does not depend on which generator was chosen).  The remaining
 classes are its cosets X_i = x * X_{i-1}, and together they partition
 Z_N \\ {0} into m classes of k elements each.  All m are read off one
 power walk x^0, x^1, ..., x^(N-2): laid out in rows of m, column i
-holds x^(jm + i), which is class i.
+holds x^(jm + i), which is class i.  One sort of the transposed walk
+stores each class as an ascending int64 array, the form the oracle
+and the edge-coloring export read.
 
 Constructors reject inputs that cannot produce a usable partition:
 build_partition additionally requires N = 1 (mod 2m), i.e. k even,
@@ -21,15 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classcount import class_columns, class_zero
-from .residues import ResidueSet
+import numpy as np
+
+from .classcount import class_columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclotomicPartition:
     """A validated partition of Z_N \\ {0} into m power classes.
 
-    classes[0] contains 1; classes[i] = x * classes[i-1] (mod N);
+    classes[i] is class i as a read-only, ascending int64 array:
+    classes[0] contains 1, classes[i] = x * classes[i-1] (mod N), and
     every class has exactly k = (N - 1) / m elements.
     """
 
@@ -37,19 +41,10 @@ class CyclotomicPartition:
     m: int
     k: int
     x: int
-    classes: tuple[ResidueSet, ...]
+    classes: tuple[np.ndarray, ...]
 
     def __iter__(self):
         return iter(self.classes)
-
-
-def build_class_zero(N: int, m: int, x: int) -> ResidueSet:
-    """The order-k subgroup {x^(jm)} of Z_N^*, for prime N with m | N-1.
-
-    Rejects m not dividing N - 1, and rejects x whose powers close up
-    early (fewer than k distinct elements means x is not a generator).
-    """
-    return ResidueSet.from_elements(N, class_zero(N, m, x).tolist())
 
 
 def build_partition(N: int, m: int, x: int) -> CyclotomicPartition:
@@ -70,6 +65,6 @@ def _build_partition_unchecked(N: int, m: int, x: int) -> CyclotomicPartition:
     # asymmetric partitions can be exercised.  A generator's N - 1 powers
     # are distinct, so the columns of its walk tile Z_N \ {0}; class_columns
     # raises for m not dividing N - 1 and for any x that is no generator.
-    walk = class_columns(N, m, x)
-    classes = tuple(ResidueSet.from_elements(N, walk[:, i].tolist()) for i in range(m))
-    return CyclotomicPartition(N, m, (N - 1) // m, x % N, classes)
+    rows = np.sort(class_columns(N, m, x).T)
+    rows.setflags(write=False)
+    return CyclotomicPartition(N, m, (N - 1) // m, x % N, tuple(rows))

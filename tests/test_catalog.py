@@ -146,7 +146,7 @@ def test_edge_coloring_well_defined():
     # color of {0, a} is just the class of a
     p = build_partition(13, 3, 2)
     for i, c in enumerate(p.classes):
-        for a in c:
+        for a in c.tolist():
             assert col.color(0, a) == i
 
 

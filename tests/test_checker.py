@@ -4,23 +4,20 @@ import tracemalloc
 import pytest
 
 from ramsey_forge import classcount
-from ramsey_forge.checker import (
-    _bitset_report,
-    check_candidate,
+from ramsey_forge.checker import check_candidate, full_fast_check
+from ramsey_forge.numbertheory import prime_factors, sieve_primes, smallest_generator
+from ramsey_forge.partition import build_partition, _build_partition_unchecked
+from ramsey_forge.report import CheckReport, Witness
+from reference import (
+    ResidueSet,
+    bitmask_partition,
+    bitset_report,
     check_cyclic_basis,
     check_sum_free_fast,
     check_symmetric,
     check_triangle_fast,
-    full_fast_check,
+    sumset,
 )
-from ramsey_forge.numbertheory import prime_factors, sieve_primes, smallest_generator
-from ramsey_forge.partition import (
-    build_class_zero,
-    build_partition,
-    _build_partition_unchecked,
-)
-from ramsey_forge.report import CheckReport, Witness
-from ramsey_forge.residues import ResidueSet, sumset
 
 
 def valid_pairs(n_max):
@@ -36,59 +33,63 @@ def valid_pairs(n_max):
 
 
 def bitset_reference(N, m, x):
-    return _bitset_report(_build_partition_unchecked(N, m, x))
+    return bitset_report(bitmask_partition(N, m, x))
+
+
+def class_zero_mask(N, m, x):
+    return ResidueSet.from_elements(N, classcount.class_zero(N, m, x).tolist())
 
 
 def test_symmetric_pass_and_fail():
-    assert check_symmetric(build_partition(5, 2, 2))
-    assert not check_symmetric(_build_partition_unchecked(7, 2, 3))
+    assert check_symmetric(bitmask_partition(5, 2, 2))
+    assert not check_symmetric(bitmask_partition(7, 2, 3))
 
 
 def test_sum_free_worked_examples():
-    assert check_sum_free_fast(build_class_zero(5, 2, 2))
-    assert check_sum_free_fast(build_class_zero(13, 3, 2))
+    assert check_sum_free_fast(class_zero_mask(5, 2, 2))
+    assert check_sum_free_fast(class_zero_mask(13, 3, 2))
     # whole punctured line: 2 + (N-1) = 1
-    assert not check_sum_free_fast(build_class_zero(13, 1, 2))
+    assert not check_sum_free_fast(class_zero_mask(13, 1, 2))
     # quadratic residues mod 13 contain 4 and 10 with 4 + 10 = 1
-    assert not check_sum_free_fast(build_class_zero(13, 2, 2))
+    assert not check_sum_free_fast(class_zero_mask(13, 2, 2))
 
 
 def test_sum_free_agrees_with_definition_to_600():
     for N, m, x in valid_pairs(600):
-        X0 = set(build_class_zero(N, m, x))
+        X0 = set(class_zero_mask(N, m, x))
         definitional = all((a + b) % N not in X0 for a in X0 for b in X0)
-        assert check_sum_free_fast(build_class_zero(N, m, x)) == definitional, (N, m)
+        assert check_sum_free_fast(class_zero_mask(N, m, x)) == definitional, (N, m)
 
 
 def test_cyclic_basis_worked_examples():
-    assert check_cyclic_basis(build_class_zero(5, 2, 2))
+    assert check_cyclic_basis(class_zero_mask(5, 2, 2))
     # {1,6} mod 7: sums {2,0,5} miss 3 and 4
-    assert not check_cyclic_basis(build_class_zero(7, 3, 3))
+    assert not check_cyclic_basis(class_zero_mask(7, 3, 3))
 
 
 def test_cyclic_basis_on_class_zero_settles_every_class_to_600():
     # scaling check: when class 0 passes, X_i + X_i = Z_N minus X_i
     # must hold for every class of the same partition
     for N, m, x in valid_pairs(600):
-        p = build_partition(N, m, x)
+        p = bitmask_partition(N, m, x)
         if check_cyclic_basis(p.classes[0]):
             for i, c in enumerate(p.classes):
                 assert sumset(c, c) == c.complement(), (N, m, i)
 
 
 def test_triangle_worked_examples():
-    assert check_triangle_fast(build_partition(5, 2, 2))
-    assert check_triangle_fast(build_partition(13, 3, 2))
+    assert check_triangle_fast(bitmask_partition(5, 2, 2))
+    assert check_triangle_fast(bitmask_partition(13, 3, 2))
 
 
 def test_triangle_vacuous_for_single_class():
-    assert check_triangle_fast(_build_partition_unchecked(13, 1, 2))
+    assert check_triangle_fast(bitmask_partition(13, 1, 2))
 
 
 def test_triangle_on_zero_pairs_settles_all_pairs_to_600():
     target_cache = {}
     for N, m, x in valid_pairs(600):
-        p = build_partition(N, m, x)
+        p = bitmask_partition(N, m, x)
         if N not in target_cache:
             target_cache[N] = ResidueSet.nonzero(N)
         if check_triangle_fast(p):
@@ -127,7 +128,7 @@ def test_triangle_failure_witness():
         assert rep.flags() == (True, True, True, False)
         i = rep.witness.classes[1]
         z = rep.witness.residue
-        p = build_partition(N, m, x)
+        p = bitmask_partition(N, m, x)
         assert z not in sumset(p.classes[0], p.classes[i])
         assert z != 0
 
@@ -172,6 +173,40 @@ def test_check_candidate_rejects_non_generator():
         check_candidate(13, 3, 3)
     with pytest.raises(ValueError):
         bitset_reference(13, 3, 3)
+    # composite moduli, then non-generators of a prime modulus; (31, 3,
+    # 15) used to come back as a sum_free failure with witness 2
+    for N, m, x in [(9, 2, 3), (15, 7, 2), (341, 68, 4), (7, 2, 2), (31, 3, 15)]:
+        with pytest.raises(ValueError, match="not a generator"):
+            check_candidate(N, m, x)
+        with pytest.raises(ValueError):
+            bitset_reference(N, m, x)
+
+
+def test_check_candidate_rejects_every_non_generator_exhaustively():
+    # every x for every composite N <= 400, and every non-generator for
+    # every prime N <= 200, each with every m dividing N - 1
+    sieve = sieve_primes(400)
+    tried = 0
+    for N in range(3, 401):
+        prime = N in sieve
+        if prime and N > 200:
+            continue
+        gens = set()
+        if prime:
+            exps = [(N - 1) // q for q in prime_factors(N - 1, sieve).distinct_primes]
+            gens = {x for x in range(1, N) if all(pow(x, e, N) != 1 for e in exps)}
+        ms = [m for m in range(1, N) if (N - 1) % m == 0]
+        for x in range(1, N):
+            if x in gens:
+                continue
+            for m in ms:
+                tried += 1
+                try:
+                    check_candidate(N, m, x)
+                except ValueError:
+                    continue
+                raise AssertionError(f"check_candidate{(N, m, x)} gave a report")
+    assert tried == 415_025
 
 
 def test_check_candidate_rejects_modulus_past_int64_limit():
@@ -210,7 +245,7 @@ def test_witnesses_recheck_against_definitions_to_600():
         if rep.overall:
             continue
         w = rep.witness
-        p = build_partition(N, m, x)
+        p = bitmask_partition(N, m, x)
         if w.condition == "sum_free":
             X0 = p.classes[0]
             assert w.residue in X0 and (1 - w.residue) % N in X0

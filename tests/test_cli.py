@@ -7,6 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ramsey_forge
 from ramsey_forge.cli import (
@@ -178,6 +179,20 @@ def test_search_resume_drops_torn_last_line(tmp_path, capsys, fmt):
     assert code == 1
     assert "cannot resume" in err
     assert out.read_text() == torn + "\n"
+
+    # a run may be cut anywhere, the header included
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(cut=st.integers(0, len(whole)))
+    def resumes_from_any_prefix(cut):
+        prefix = whole[:cut]
+        out.write_text(prefix)
+        code, _, err = run_cli(capsys, *argv, "--out", str(out), "--resume")
+        assert code == 0, err
+        resumed = out.read_text()
+        assert resumed.startswith(prefix[: prefix.rfind("\n") + 1])
+        assert records_without_elapsed(resumed, fmt) == records_without_elapsed(whole, fmt)
+
+    resumes_from_any_prefix()
 
 
 def test_search_and_sweep_refuse_bad_bounds(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramsey_forge import search as search_mod
 from ramsey_forge.classcount import MAX_COUNTING_MODULUS
@@ -233,6 +234,19 @@ def test_search_all_rejects_bad_range():
         search_all(1, 4, 1_000)
 
 
+_RECORDS = st.builds(
+    SearchRecord,
+    m=st.integers(2, 10**4),
+    status=st.sampled_from(["found", "exhausted"]),
+    N=st.none() | st.integers(2, 2**31),
+    x=st.none() | st.integers(1, 2**31),
+    bound_used=st.integers(2, 2**31),
+    candidates_tested=st.integers(0, 10**8),
+    # serialized timings carry three decimals
+    elapsed_ms=st.integers(0, 10**12).map(lambda n: n / 1000),
+)
+
+
 def test_record_round_trips(sieve):
     from dataclasses import replace
 
@@ -243,6 +257,14 @@ def test_record_round_trips(sieve):
     ]
     assert records_from_csv(records_to_csv(recs)) == recs
     assert records_from_jsonl(records_to_jsonl(recs)) == recs
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_RECORDS, max_size=8))
+    def generated_round_trip(recs):
+        assert records_from_csv(records_to_csv(recs)) == recs
+        assert records_from_jsonl(records_to_jsonl(recs)) == recs
+
+    generated_round_trip()
     assert records_from_csv("") == []
     with pytest.raises(ValueError):
         records_from_csv("m,who,knows\n")
