@@ -67,6 +67,7 @@ __all__ = [
     "SweepResult",
     "Witness",
     "atom_decomposition",
+    "build_partition",
     "candidate_primes",
     "check_candidate",
     "class_index_table",

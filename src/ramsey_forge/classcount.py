@@ -25,8 +25,9 @@ relations (i, j) = (j, i) = (-i, j - i) give T[d][d] = T[0][-d mod m]
 (Storer, Cyclotomy and Difference Sets, 1967), so row 0 decides the
 cyclic basis, and `PowerCharacter` reads row 0 off the k elements of
 class 0 in O(k log N) without a table.  Only the few candidates that
-pass the first three conditions build the O(N) class table and the
-full matrix, for the triangle condition.
+pass the first three conditions build a class table and the full
+matrix, for the triangle condition; -1 in X_0 lets both read only half
+the group (see `class_index_table`).
 
 Every class-0 walk and the class table come from one kernel,
 `power_walk`, which lists g^0..g^(n-1) mod N by doubling: once the
@@ -127,29 +128,37 @@ def class_columns(N: int, m: int, x: int) -> np.ndarray:
 
 
 def class_index_table(N: int, m: int, x: int) -> np.ndarray:
-    """cls array of length N: cls[x^e] = e mod m, cls[0] = -1.
+    """Half class table h, H = (N - 1) / 2: h[a] is the class of a and of
+    N - a (1 <= a <= H), h[0] = -1, in int8 up to m = 128, else int16.
 
-    Stored in the smallest signed type that holds -m (int8 up to
-    m = 128, int16 up to 32,768), so the table costs one or two bytes
-    per residue.  Raises if x does not generate the full group.
+    Needs k = (N - 1) / m even: then -1 = x^H is in class 0, x^(e + H) = -x^e
+    has class e mod m (H = km/2), and x^0..x^(H-1) folded by z -> min(z, N - z)
+    fills 1..H.  x^H = -1 and no return to 1 in that walk force ord x = N - 1.
     """
-    powers = class_columns(N, m, x)
-    cls = np.full(N, -1, dtype=np.min_scalar_type(-m))
-    cls[powers] = np.arange(m, dtype=cls.dtype)
-    return cls
+    if N < 3 or m < 1 or (N - 1) % m != 0 or (N - 1) // m % 2:
+        raise ValueError(f"no half table for N={N}, m={m}: needs m | N - 1 with k even")
+    H = (N - 1) // 2
+    walk = power_walk(x, H, N)
+    if pow(x, H, N) != N - 1 or (walk[1:] == 1).any():
+        raise ValueError(f"x={x} is not a generator mod {N}")
+    np.minimum(walk, N - walk, out=walk)
+    h = np.full(H + 1, -1, dtype=np.min_scalar_type(-m))
+    h[walk.reshape(-1, m)] = np.arange(m, dtype=h.dtype)
+    return h
 
 
-def pair_sum_class_matrix(cls: np.ndarray, m: int) -> np.ndarray:
-    """T[p][q] = number of ordered pairs (a, b), a + b = 1, with classes (p, q).
-
-    The pairs are (a, N + 1 - a) for a = 2..N-1, so the partner classes
-    are just the class slice reversed.  The codes p * m + q are built in
-    place in int64, the type `bincount` takes without a copy.
+def pair_sum_class_matrix(h: np.ndarray, m: int) -> np.ndarray:
+    """T[p][q] = number of ordered pairs (a, b), a + b = 1, with classes
+    (p, q), from the half table h, H = len(h) - 1.  The pairs are
+    (a, N + 1 - a), a = 2..N-1.  For a <= H the partner folds to a - 1,
+    so A tallies the int64 codes h[a] * m + h[a - 1]; the pairs past
+    H + 1 are their transposes, and a = H + 1 pairs with itself in class
+    c = h[H]: T = A + A^T + e_c e_c^T.
     """
-    codes = cls[2:].astype(np.int64)
-    codes *= m
-    codes += cls[:1:-1]
-    return np.bincount(codes, minlength=m * m).reshape(m, m)
+    codes = np.multiply(h[2:], m, dtype=np.int64)
+    codes += h[1:-1]
+    A = np.bincount(codes, minlength=m * m).reshape(m, m)
+    return A + A.T + np.diag(np.arange(m) == h[-1])
 
 
 def _power_mod(z: np.ndarray, e: int, N: int) -> np.ndarray:
@@ -213,7 +222,7 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     Same flag order, short-circuiting, and witness conventions as the
     bit-mask reference the tests hold it to.  Symmetry, the sum-free
     test and the cyclic basis are read off class 0 and row 0 of T; only
-    a candidate that passes all three builds the O(N) class table and
+    a candidate that passes all three builds the half class table and
     the full matrix, for the triangle condition.
     """
     X = class_zero(N, m, x)

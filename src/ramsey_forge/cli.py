@@ -199,9 +199,14 @@ def _cmd_sweep(args) -> int:
             sink.close()
 
     if args.failures:
-        with open(args.failures, "w", encoding="ascii", newline="") as f:
-            for fail in result.failures:
-                f.write(fail.to_json() + "\n")
+        tmp = f"{args.failures}.{os.getpid()}.tmp"  # renamed over the log once whole
+        try:
+            with open(tmp, "w", encoding="ascii", newline="") as f:
+                f.writelines(fail.to_json() + "\n" for fail in result.failures)
+            os.replace(tmp, args.failures)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     if not args.quiet:
         print(
             f"sweep m={args.m}: {result.record.status}, "

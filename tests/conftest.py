@@ -1,0 +1,20 @@
+import time
+
+import pytest
+
+from ramsey_forge.oracle import exhaustive_small_scan, relation_algebra_check
+from ramsey_forge.partition import build_partition
+
+
+@pytest.fixture(scope="session")
+def relation_scan_200():
+    """relation_algebra_check beside naive_check's verdict on every
+    exhaustive_small_scan(200) partition, computed once per session for
+    the two tests that compare them: ([(N, m, relation_ok, naive_ok)],
+    seconds taken)."""
+    start = time.perf_counter()
+    rows = [
+        (r.N, r.m, relation_algebra_check(build_partition(r.N, r.m, r.x)), r.naive.overall)
+        for r in exhaustive_small_scan(200)
+    ]
+    return rows, time.perf_counter() - start

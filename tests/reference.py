@@ -17,6 +17,11 @@ implies all pairs do, since scaling by x^i maps one onto the other.
 So only one class is screened for sums and only m - 1 sumsets are
 formed instead of m^2.  Checks run in the fixed order symmetric ->
 sum_free -> cyclic_basis -> triangle and stop at the first failure.
+
+`full_class_index_table` and `full_pair_sum_class_matrix` are the
+numpy reference for the engine's folded half table: an N-long table
+scattered from the library's `class_columns` walk, and every pair
+(a, 1 - a) tallied off the reversed table.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
+from ramsey_forge.classcount import class_columns
 from ramsey_forge.report import CheckReport, Witness
 
 
@@ -261,3 +269,29 @@ def bitset_report(p: BitmaskPartition) -> CheckReport:
     if w is not None:
         return CheckReport(True, True, True, False, w)
     return CheckReport.all_passed()
+
+
+def full_class_index_table(N: int, m: int, x: int) -> np.ndarray:
+    """cls array of length N: cls[x^e] = e mod m, cls[0] = -1.
+
+    Stored in the smallest signed type that holds -m (int8 up to
+    m = 128, int16 up to 32,768), so the table costs one or two bytes
+    per residue.  Raises if x does not generate the full group.
+    """
+    powers = class_columns(N, m, x)
+    cls = np.full(N, -1, dtype=np.min_scalar_type(-m))
+    cls[powers] = np.arange(m, dtype=cls.dtype)
+    return cls
+
+
+def full_pair_sum_class_matrix(cls: np.ndarray, m: int) -> np.ndarray:
+    """T[p][q] = number of ordered pairs (a, b), a + b = 1, with classes (p, q).
+
+    The pairs are (a, N + 1 - a) for a = 2..N-1, so the partner classes
+    are just the class slice reversed.  The codes p * m + q are built in
+    place in int64, the type `bincount` takes without a copy.
+    """
+    codes = cls[2:].astype(np.int64)
+    codes *= m
+    codes += cls[:1:-1]
+    return np.bincount(codes, minlength=m * m).reshape(m, m)

@@ -194,7 +194,7 @@ def test_criterion_07_fast_checker_matches_reference(capsys):
     )
 
 
-def test_criterion_08_relation_algebra(capsys):
+def test_criterion_08_relation_algebra(relation_scan_200, capsys):
     done = _timed(120.0)
     problems = []
 
@@ -229,14 +229,15 @@ def test_criterion_08_relation_algebra(capsys):
                     problems.append(f"atoms {i},{j} cross-composition wrong")
 
     # axioms hold exactly when the reference checker passes the partition
-    checked = 0
-    for r in exhaustive_small_scan(200):
-        p = build_partition(r.N, r.m, r.x)
-        if relation_algebra_check(p) != r.naive.overall:
-            problems.append(f"axioms vs reference disagree at ({r.N},{r.m})")
-        checked += 1
+    scan, scan_s = relation_scan_200
+    for N, m, relation_ok, naive_ok in scan:
+        if relation_ok != naive_ok:
+            problems.append(f"axioms vs reference disagree at ({N},{m})")
+    checked = len(scan)
 
-    dt, in_budget = done()
+    # the shared scan ran in the fixture, before this test's clock started
+    dt = done()[0] + scan_s
+    in_budget = dt <= 120.0
     ok = not problems and checked > 0 and in_budget
     _report(
         8, "relation-algebra atoms", ok,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ramsey_forge.catalog import load_catalog
 from ramsey_forge.classcount import (
     PowerCharacter,
     class_columns,
@@ -12,6 +13,7 @@ from ramsey_forge.classcount import (
 )
 from ramsey_forge.numbertheory import prime_factors, sieve_primes, smallest_generator
 from ramsey_forge.partition import build_partition, _build_partition_unchecked
+from reference import full_class_index_table, full_pair_sum_class_matrix
 
 
 def reference_class_table(N, m, x):
@@ -33,11 +35,10 @@ def reference_pair_matrix(N, m, x):
 
 
 def test_class_table_small_example():
-    # powers of 2 mod 13: 1,2,4,8,3,6,12,11,9,5,10,7
-    cls = class_index_table(13, 3, 2)
-    assert cls[0] == -1
-    assert cls[1] == 0 and cls[2] == 1 and cls[4] == 2 and cls[8] == 0
-    assert cls[12] == 0 and cls[7] == 2
+    # powers of 2 mod 13: 1,2,4,8,3,6,12,11,9,5,10,7; the half table
+    # holds 1..6, and 8, 12, 7 read their classes off 5, 1, 6
+    h = class_index_table(13, 3, 2)
+    assert h.tolist() == [-1, 0, 1, 1, 2, 0, 2]
 
 
 def test_class_table_matches_sequential_walk():
@@ -45,8 +46,15 @@ def test_class_table_matches_sequential_walk():
     for N in sieve.primes.tolist()[2::11]:
         fs = prime_factors(N - 1, sieve)
         x = smallest_generator(N, fs)
+        H = (N - 1) // 2
         for m in [d for d in range(1, 13) if (N - 1) % d == 0]:
-            assert class_index_table(N, m, x).tolist() == reference_class_table(N, m, x), (N, m)
+            cls = reference_class_table(N, m, x)
+            if (N - 1) // m % 2:
+                with pytest.raises(ValueError, match="k even"):
+                    class_index_table(N, m, x)
+                continue
+            assert cls[N - H:] == cls[H:0:-1], (N, m)
+            assert class_index_table(N, m, x).tolist() == cls[:H + 1], (N, m)
 
 
 def test_power_walk_lists_successive_powers():
@@ -70,13 +78,19 @@ def test_kernel_matches_power_residue_definition_to_2000():
             X0 = class_zero(N, m, x).tolist()
             assert len(X0) == k and X0[0] == 1, (N, m)
             assert set(X0) == {z for z in range(1, N) if zk[z] == 1}, (N, m)
+            if k % 2:
+                with pytest.raises(ValueError, match="k even"):
+                    class_index_table(N, m, x)
+                continue
             unit = [pow(x, -i * k, N) for i in range(m)]
             assert len(set(unit)) == m
-            cls = class_index_table(N, m, x).tolist()
-            assert cls[0] == -1
-            for z in range(1, N):
-                i = cls[z]
+            h = class_index_table(N, m, x).tolist()
+            assert len(h) == (N + 1) // 2 and h[0] == -1
+            # h[z] is the class of z and of N - z
+            for z in range(1, len(h)):
+                i = h[z]
                 assert 0 <= i < m and zk[z] * unit[i] % N == 1, (N, m, z)
+                assert zk[N - z] * unit[i] % N == 1, (N, m, z)
 
 
 def test_character_row_is_row_zero_of_pair_matrix_to_2000():
@@ -98,12 +112,12 @@ def test_character_row_is_row_zero_of_pair_matrix_to_2000():
 
 def test_character_classes_and_first_in():
     N, m, x = 2441, 20, 6
-    cls = class_index_table(N, m, x)
-    char = PowerCharacter(N, m, x)
     z = np.arange(1, N, dtype=np.int64)
-    assert char.classes(z).tolist() == cls[1:].tolist()
+    cls = class_index_table(N, m, x)[np.minimum(z, N - z)]
+    char = PowerCharacter(N, m, x)
+    assert char.classes(z).tolist() == cls.tolist()
     for targets in ([0], [7], [3, 19], list(range(1, m))):
-        first = int(np.flatnonzero(np.isin(cls, targets))[0])
+        first = int(z[np.isin(cls, targets)][0])
         assert char.first_in(np.array(targets)) == first, targets
 
 
@@ -114,6 +128,11 @@ def test_class_table_rejects_non_generator():
         class_index_table(13, 3, 0)
     with pytest.raises(ValueError):
         class_index_table(13, 5, 2)
+    # x = g^2 has order exactly H = (N - 1) / 2: its half walk never
+    # returns to 1, so only x^H = -1 rejects it
+    for N, m, x in [(13, 3, 4), (2441, 20, 36), (2387201, 373, 9)]:
+        with pytest.raises(ValueError, match="not a generator"):
+            class_index_table(N, m, x)
 
 
 def test_class_columns_are_the_classes_and_reject_non_generators():
@@ -131,12 +150,28 @@ def test_class_columns_are_the_classes_and_reject_non_generators():
 
 def test_pair_matrix_matches_definition():
     sieve = sieve_primes(2000)
-    for N in sieve.primes.tolist()[3::17]:
+    for N in sieve.primes.tolist()[1:]:
         fs = prime_factors(N - 1, sieve)
         x = smallest_generator(N, fs)
-        for m in [d for d in range(1, 9) if (N - 1) % d == 0]:
+        for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             T = pair_sum_class_matrix(class_index_table(N, m, x), m)
             assert T.tolist() == reference_pair_matrix(N, m, x), (N, m)
+
+
+def test_pair_matrix_matches_full_table_on_catalog_rows():
+    # int8 tables (m <= 128) and int16 ones, up to the largest modulus
+    rows = load_catalog()
+    picked = [r for r in rows if r.m in (2, 20, 84, 164, 244)] + [rows[-1]]
+    picked += [r for r in rows if r.N == 2387201]
+    assert len(picked) == 7
+    for r in picked:
+        h = class_index_table(r.N, r.m, r.x)
+        cls = full_class_index_table(r.N, r.m, r.x)
+        assert h.dtype == cls.dtype and h.itemsize == (1 if r.m <= 128 else 2), r
+        assert np.array_equal(h, cls[:len(h)]), r
+        assert np.array_equal(cls[len(h):], cls[len(h) - 1:0:-1]), r
+        T = pair_sum_class_matrix(h, r.m)
+        assert np.array_equal(T, full_pair_sum_class_matrix(cls, r.m)), r
 
 
 def test_pair_matrix_row_sums_and_symmetry():

@@ -18,6 +18,7 @@ from ramsey_forge.cli import (
     _resolve_workers,
     main,
 )
+from ramsey_forge.search import CandidateFailure
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +248,27 @@ def test_sweep_failures_file(tmp_path, capsys):
     assert all(r["N"] % 16 == 1 for r in rows)
     assert all(r["failed_check"] in ("sum_free", "cyclic_basis", "triangle") for r in rows)
     assert all(r["witness"]["condition"] == r["failed_check"] for r in rows)
+
+
+def test_sweep_failures_file_is_replaced_whole(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "failures.jsonl"
+    path.write_bytes(b'{"old":"log"}\n')
+    to_json = CandidateFailure.to_json
+    calls = []
+
+    def fail_on_third(self):
+        calls.append(self.N)
+        if len(calls) == 3:
+            raise RuntimeError("disk full")
+        return to_json(self)
+
+    monkeypatch.setattr(CandidateFailure, "to_json", fail_on_third)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run_cli(capsys, "sweep", "--m", "8", "--bound", "5000",
+                "--failures", str(path), "--workers", "1", "-q")
+    assert len(calls) == 3
+    assert path.read_bytes() == b'{"old":"log"}\n'
+    assert os.listdir(tmp_path) == ["failures.jsonl"]
 
 
 def test_sweep_default_bound_m13(capsys):

@@ -156,10 +156,11 @@ def test_relation_cap_rejects_large_modulus():
         relation_algebra_check(build_partition(13, 3, 2), cap=7)
 
 
-def test_relation_check_matches_naive_overall_to_200():
-    for rec in exhaustive_small_scan(200):
-        p = build_partition(rec.N, rec.m, rec.x)
-        assert relation_algebra_check(p) == rec.naive.overall, (rec.N, rec.m)
+def test_relation_check_matches_naive_overall_to_200(relation_scan_200):
+    rows, _ = relation_scan_200
+    assert rows
+    for N, m, relation_ok, naive_ok in rows:
+        assert relation_ok == naive_ok, (N, m)
 
 
 def test_scan_contents_small():

@@ -1,4 +1,9 @@
+import re
+from pathlib import Path
+
 import ramsey_forge
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_names_resolve():
@@ -14,3 +19,11 @@ def test_all_is_sorted_and_unique():
 def test_version_string():
     major, minor, patch = ramsey_forge.__version__.split(".")
     assert all(part.isdigit() for part in (major, minor, patch))
+
+
+def test_readme_library_imports_are_public():
+    library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    block = re.search(r"from ramsey_forge import \((.*?)\)", library, re.S)
+    names = [n.strip() for n in block.group(1).split(",") if n.strip()]
+    assert "build_partition" in names
+    assert sorted(set(names) - set(ramsey_forge.__all__)) == []
