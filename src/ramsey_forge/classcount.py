@@ -27,14 +27,16 @@ cyclic basis, and `PowerCharacter` reads row 0 off the k elements of
 class 0 in O(k log N) without a table.  Only the few candidates that
 pass the first three conditions build a class table and the full
 matrix, for the triangle condition; -1 in X_0 lets both read only half
-the group (see `class_index_table`).
+the group (see `class_index_table`), and both run over it in blocks of
+`BLOCK` residues, so neither allocates an O(N) int64 array.
 
-Every class-0 walk and the class table come from one kernel,
-`power_walk`, which lists g^0..g^(n-1) mod N by doubling: once the
-first L powers are known, multiplying them by g^L gives the next L.
-That is about log2(n) vectorised passes and no per-element Python
-loop.  Each product of two residues stays below 2^62 for any modulus
-under 2^31, so int64 is exact; the kernel refuses larger moduli.
+Every class-0 walk and the first block of the class table come from
+one kernel, `power_walk`, which lists g^0..g^(n-1) mod N by doubling:
+once the first L powers are known, multiplying them by g^L gives the
+next L.  That is about log2(n) vectorised passes and no per-element
+Python loop; the table's later blocks take the same step by g^B.  Each
+product of two residues stays below 2^62 for any modulus under 2^31, so
+int64 is exact; the kernel refuses larger moduli.
 """
 
 from __future__ import annotations
@@ -44,11 +46,15 @@ import numpy as np
 from .report import CheckReport, Witness
 
 MAX_COUNTING_MODULUS = 1 << 31
+# Residues per vectorised pass of the table and matrix builders: 512 KiB
+# of int64.  Their working set is then the same at every N, so the
+# process peak does not hinge on where the allocator put earlier arrays.
+BLOCK = 1 << 16
 
 
 def power_walk(g: int, n: int, N: int) -> np.ndarray:
-    """g^0, g^1, ..., g^(n-1) mod N as int64: the one place that lists
-    successive powers.  Refuses moduli the int64 products cannot hold
+    """g^0, g^1, ..., g^(n-1) mod N as int64: every list of successive
+    powers starts here.  Refuses moduli the int64 products cannot hold
     before allocating anything.
     """
     if N >= MAX_COUNTING_MODULUS:
@@ -134,16 +140,31 @@ def class_index_table(N: int, m: int, x: int) -> np.ndarray:
     Needs k = (N - 1) / m even: then -1 = x^H is in class 0, x^(e + H) = -x^e
     has class e mod m (H = km/2), and x^0..x^(H-1) folded by z -> min(z, N - z)
     fills 1..H.  x^H = -1 and no return to 1 in that walk force ord x = N - 1.
+    The walk goes in blocks of B powers, B a multiple of m near `BLOCK`
+    (H = (k/2) m is one too), each the last times x^B, so the classes of
+    every block repeat 0..m-1 from its start.
     """
     if N < 3 or m < 1 or (N - 1) % m != 0 or (N - 1) // m % 2:
         raise ValueError(f"no half table for N={N}, m={m}: needs m | N - 1 with k even")
     H = (N - 1) // 2
-    walk = power_walk(x, H, N)
-    if pow(x, H, N) != N - 1 or (walk[1:] == 1).any():
+    if pow(x, H, N) != N - 1:
         raise ValueError(f"x={x} is not a generator mod {N}")
-    np.minimum(walk, N - walk, out=walk)
+    B = min(H, m * max(1, BLOCK // m))
+    z = power_walk(x, B, N)
+    step = pow(x, B, N)
+    fold = np.empty_like(z)
     h = np.full(H + 1, -1, dtype=np.min_scalar_type(-m))
-    h[walk.reshape(-1, m)] = np.arange(m, dtype=h.dtype)
+    classes = np.tile(np.arange(m, dtype=h.dtype), B // m)
+    for e in range(0, H, B):
+        n = min(B, H - e)
+        if e:
+            np.multiply(z, step, out=z)
+            np.remainder(z, N, out=z)
+        if (z[int(e == 0) : n] == 1).any():
+            raise ValueError(f"x={x} is not a generator mod {N}")
+        np.subtract(N, z[:n], out=fold[:n])
+        np.minimum(z[:n], fold[:n], out=fold[:n])
+        h[fold[:n]] = classes[:n]
     return h
 
 
@@ -151,13 +172,19 @@ def pair_sum_class_matrix(h: np.ndarray, m: int) -> np.ndarray:
     """T[p][q] = number of ordered pairs (a, b), a + b = 1, with classes
     (p, q), from the half table h, H = len(h) - 1.  The pairs are
     (a, N + 1 - a), a = 2..N-1.  For a <= H the partner folds to a - 1,
-    so A tallies the int64 codes h[a] * m + h[a - 1]; the pairs past
-    H + 1 are their transposes, and a = H + 1 pairs with itself in class
-    c = h[H]: T = A + A^T + e_c e_c^T.
+    so A tallies the int64 codes h[a] * m + h[a - 1], `BLOCK` at a time;
+    the pairs past H + 1 are their transposes, and a = H + 1 pairs with
+    itself in class c = h[H]: T = A + A^T + e_c e_c^T.
     """
-    codes = np.multiply(h[2:], m, dtype=np.int64)
-    codes += h[1:-1]
-    A = np.bincount(codes, minlength=m * m).reshape(m, m)
+    H = h.size - 1
+    A = np.zeros(m * m, dtype=np.int64)
+    codes = np.empty(min(BLOCK, max(H - 1, 0)), dtype=np.int64)
+    for a in range(2, H + 1, BLOCK):
+        c = codes[: min(BLOCK, H + 1 - a)]
+        np.multiply(h[a : a + c.size], m, out=c, dtype=np.int64)
+        c += h[a - 1 : a - 1 + c.size]
+        A += np.bincount(c, minlength=m * m)
+    A = A.reshape(m, m)
     return A + A.T + np.diag(np.arange(m) == h[-1])
 
 

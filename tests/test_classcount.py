@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ramsey_forge import classcount
 from ramsey_forge.catalog import load_catalog
 from ramsey_forge.classcount import (
     PowerCharacter,
@@ -133,6 +134,28 @@ def test_class_table_rejects_non_generator():
     for N, m, x in [(13, 3, 4), (2441, 20, 36), (2387201, 373, 9)]:
         with pytest.raises(ValueError, match="not a generator"):
             class_index_table(N, m, x)
+
+
+def test_class_table_and_pair_matrix_in_small_blocks(monkeypatch):
+    # blocks of one power, shorter than m, and not dividing H give the
+    # tables and matrices of a single block
+    sieve = sieve_primes(400)
+    cases = []
+    for N in sieve.primes.tolist()[1:]:
+        x = smallest_generator(N, prime_factors(N - 1, sieve))
+        for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
+            h = class_index_table(N, m, x)
+            cases.append((N, m, x, h, pair_sum_class_matrix(h, m)))
+    for block in (1, 5, 64):
+        monkeypatch.setattr(classcount, "BLOCK", block)
+        for N, m, x, h, T in cases:
+            assert np.array_equal(class_index_table(N, m, x), h), (block, N, m)
+            assert np.array_equal(pair_sum_class_matrix(h, m), T), (block, N, m)
+    # x = 5^3 mod 97 has x^48 = -1 but order 32: its walk returns to 1
+    # in a later block
+    monkeypatch.setattr(classcount, "BLOCK", 5)
+    with pytest.raises(ValueError, match="not a generator"):
+        class_index_table(97, 2, 28)
 
 
 def test_class_columns_are_the_classes_and_reject_non_generators():
