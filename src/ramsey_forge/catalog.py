@@ -14,16 +14,15 @@ import json
 import time
 from dataclasses import dataclass
 from importlib import resources
-from math import isqrt
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .checker import check_candidate
-from .numbertheory import PrimeSieve, prime_factors, sieve_primes, smallest_generator
+from .numbertheory import smallest_generator
 from .partition import CyclotomicPartition
 from .report import CheckReport
-from .search import candidate_primes, _evaluate_candidate
+from .search import search_min_modulus
 
 CATALOG_CSV_HEADER = "m,N,x"
 CATALOG_M_RANGE = (2, 400)
@@ -113,33 +112,20 @@ class RowVerification:
         }
 
 
-def verify_row(
-    row: CatalogRow,
-    *,
-    minimality: bool = False,
-    sieve: PrimeSieve | None = None,
-) -> RowVerification:
+def verify_row(row: CatalogRow, *, minimality: bool = False) -> RowVerification:
     """Re-derive everything a row claims: the partition passes all four
     checks, x is the least generator, and (optionally) every smaller
-    qualifying prime fails.
+    qualifying prime fails, which is a search below N coming up empty.
     """
     t0 = time.perf_counter()
-    small_sieve = sieve_primes(isqrt(row.N - 1) + 1)
-    factors = prime_factors(row.N - 1, small_sieve)
-    generator_ok = smallest_generator(row.N, factors) == row.x
+    generator_ok = smallest_generator(row.N) == row.x
     report = check_candidate(row.N, row.m, row.x)
     minimal_ok: bool | None = None
     first_pass: int | None = None
     if minimality:
-        if sieve is None or sieve.bound < row.N - 1:
-            sieve = sieve_primes(max(row.N - 1, 2))
-        minimal_ok = True
-        for N in candidate_primes(row.m, 0, row.N - 1, sieve):
-            _, passed, _, _ = _evaluate_candidate(N, row.m, small_sieve)
-            if passed:
-                minimal_ok = False
-                first_pass = N
-                break
+        record = search_min_modulus(row.m, row.N - 1)
+        minimal_ok = record.status == "exhausted"
+        first_pass = record.N
     ms = (time.perf_counter() - t0) * 1000.0
     return RowVerification(row, generator_ok, report, minimal_ok, first_pass, ms)
 
@@ -150,15 +136,11 @@ def verify_rows(
     minimality: bool = False,
     progress: Callable[[int, int, int], None] | None = None,
 ) -> list[RowVerification]:
-    rows = list(rows)
-    sieve = None
-    if minimality and rows:
-        sieve = sieve_primes(max(r.N for r in rows))
     out = []
-    for i, row in enumerate(rows):
-        out.append(verify_row(row, minimality=minimality, sieve=sieve))
+    for i, row in enumerate(rows, 1):
+        out.append(verify_row(row, minimality=minimality))
         if progress:
-            progress(row.m, row.N, i + 1)
+            progress(row.m, row.N, i)
     return out
 
 

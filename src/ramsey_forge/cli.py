@@ -21,7 +21,6 @@ from . import oracle as oracle_mod
 from .numbertheory import DEFAULT_SIEVE_BOUND
 from .partition import build_partition
 from .search import (
-    DEFAULT_SWEEP_BOUNDS,
     SEARCH_CSV_HEADER,
     SearchRecord,
     check_bound,
@@ -33,7 +32,6 @@ from .search import (
 )
 
 WORKERS_ENV = "RAMSEY_FORGE_WORKERS"
-ORACLE_NAIVE_CAP = 2000
 
 VERIFY_CSV_HEADER = (
     "m,N,x,generator_ok,symmetric,sum_free,cyclic_basis,triangle,"
@@ -153,7 +151,7 @@ def _cmd_search(args) -> int:
 
     if args.oracle:
         for r in records:
-            if r.status == "found" and r.N is not None and r.N <= ORACLE_NAIVE_CAP:
+            if r.status == "found" and r.N is not None and r.N <= oracle_mod.ORACLE_SCAN_MAX:
                 p = build_partition(r.N, r.m, r.x)
                 rep = oracle_mod.naive_check(p)
                 if not rep.overall:
@@ -168,20 +166,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    bound = args.bound
-    if bound is None:
-        if args.m not in DEFAULT_SWEEP_BOUNDS:
-            print(
-                f"error: no default bound for m={args.m}; pass --bound",
-                file=sys.stderr,
-            )
-            return 1
-        bound = DEFAULT_SWEEP_BOUNDS[args.m]
     progress = _Progress("sweep", args.progress_interval, args.quiet)
     try:
         workers = _resolve_workers(args.workers)
         result = sweep_nonexistence(
-            args.m, bound, workers=workers, progress=progress
+            args.m, args.bound, workers=workers, progress=progress
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

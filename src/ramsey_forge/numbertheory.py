@@ -1,11 +1,12 @@
 """Primality, factorization, and primitive roots for the prime moduli
 the search runs over.
 
-Everything here is exact integer arithmetic.  The sieve is the single
-shared source of primality facts; factorization and generator search
-are built on top of it and stay cheap because every modulus N we care
-about satisfies N = mk + 1 with k even, so the numbers involved fit
-comfortably in machine words.
+Everything here is exact integer arithmetic.  Sieves stay small: the
+primes up to sqrt(N) factor N - 1 by trial division and seed the
+progression sieve of `search.candidate_primes`, and only the oracle's
+scan sieves a whole range, 0..2000.  Factorization and generator search
+stay cheap because every modulus N we care about satisfies N = mk + 1
+with k even, so the numbers involved fit comfortably in machine words.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .checker import full_fast_check
-from .numbertheory import PrimeSieve, prime_factors, sieve_primes, smallest_generator
+from .numbertheory import prime_factors, sieve_primes, smallest_generator
 from .partition import CyclotomicPartition, build_partition
 from .report import CheckReport, Witness
 
@@ -286,9 +286,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def exhaustive_small_scan(
-    N_max: int, sieve: PrimeSieve | None = None
-) -> list[ScanRecord]:
+def exhaustive_small_scan(N_max: int) -> list[ScanRecord]:
     """Every (N, m) with prime N <= N_max, m >= 2, N = 1 (mod 2m),
     using the least generator; each is run through both checkers.
 
@@ -297,8 +295,7 @@ def exhaustive_small_scan(
     """
     if N_max > ORACLE_SCAN_MAX:
         raise ValueError(f"scan limited to N <= {ORACLE_SCAN_MAX}, got {N_max}")
-    if sieve is None or sieve.bound < N_max:
-        sieve = sieve_primes(max(N_max, 2))
+    sieve = sieve_primes(max(N_max, 2))
     records = []
     for N in sieve.primes.tolist():
         if N > N_max or N < 5:

@@ -3,7 +3,9 @@
 For a color count m the qualifying moduli are primes N = 1 (mod 2m);
 `search_min_modulus` walks them in order and returns the first one whose
 single-generator partition passes the full check, `sweep_nonexistence`
-walks all of them and logs why each fails.
+walks all of them and logs why each fails.  `candidate_primes` lists
+them by sieving that progression alone, a byte per term, from the
+primes up to sqrt(bound); no sieve of the whole range 0..bound is built.
 
 The economics: nearly every candidate dies on the sum-free condition,
 and most of the rest on the cyclic basis, and the counting engine
@@ -14,8 +16,9 @@ for a table.  A search drops the witness of each failure, a sweep logs
 it.
 
 Two runs with the same (m, bound) produce identical records whatever
-the worker count: candidates are evaluated speculatively in blocks but
-accounted strictly in candidate order.
+the worker count: one loop consumes the results in candidate order,
+whether they come one at a time from this process or from blocks
+evaluated speculatively on a pool.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
+from contextlib import closing, nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,7 +47,6 @@ from .report import Witness
 
 SEARCH_CSV_HEADER = "m,status,N,x,bound_used,candidates_tested,elapsed_ms"
 
-PROGRESS_STRIDE = 512
 BLOCK_SIZE = 64
 
 ProgressFn = Callable[[int, int, int], None]
@@ -149,21 +152,47 @@ def default_sweep_bound(m: int) -> int:
     try:
         return DEFAULT_SWEEP_BOUNDS[m]
     except KeyError:
-        raise ValueError(f"no default sweep bound for m={m}; pass one explicitly")
+        raise ValueError(f"no default bound for m={m}; pass one explicitly")
 
 
-def candidate_primes(m: int, lo: int, hi: int, sieve: PrimeSieve) -> list[int]:
-    """Primes N in (lo, hi] with N = 1 (mod 2m), ascending."""
+def check_bound(bound: int) -> None:
+    """Refuse a search bound before anything is allocated for it."""
+    if bound < 2:
+        raise ValueError(f"bound must be >= 2, got {bound}")
+    if bound >= MAX_COUNTING_MODULUS:
+        # no modulus this large can be checked
+        raise ValueError(
+            f"bound {bound} too large: moduli must stay below "
+            f"MAX_COUNTING_MODULUS = 2^31 = {MAX_COUNTING_MODULUS}"
+        )
+
+
+def candidate_primes(m: int, lo: int, hi: int) -> list[int]:
+    """Primes N in (lo, hi] with N = 1 (mod 2m), ascending.
+
+    Only the progression first, first + 2m, ... <= hi is sieved, one
+    flag per term.  A base prime p <= sqrt(hi) strikes the terms with
+    index i = -first / 2m (mod p), except p itself; a p dividing 2m
+    divides no term.
+    """
     if m < 1:
         raise ValueError(f"class count must be >= 1, got {m}")
-    if hi > sieve.bound:
-        raise ValueError(f"hi={hi} exceeds sieve bound {sieve.bound}")
+    check_bound(max(hi, 2))  # refuses hi >= 2^31 before allocating
     step = 2 * m
     first = lo + 1 + (1 - (lo + 1)) % step
     if first > hi:
         return []
-    grid = np.arange(first, hi + 1, step)
-    return grid[sieve.is_prime[grid]].tolist()
+    is_prime = np.ones((hi - first) // step + 1, dtype=bool)
+    if first == 1:
+        is_prime[0] = False
+    for p in sieve_primes(max(isqrt(hi), 2)).primes.tolist():
+        if step % p == 0:
+            continue
+        i = -first * pow(step, -1, p) % p
+        if first + i * step == p:
+            i += p
+        is_prime[i::p] = False
+    return (first + step * np.flatnonzero(is_prime)).tolist()
 
 
 def _evaluate_candidate(
@@ -188,99 +217,67 @@ def _evaluate_block(
     return [(N, *_evaluate_candidate(N, m, small_sieve)) for N in Ns]
 
 
+def _pooled_results(
+    candidates: list[int], m: int, small_sieve: PrimeSieve, workers: int
+) -> Iterator[tuple[int, int, bool, str | None, Witness | None]]:
+    """`_evaluate_block` over blocks of candidates, run speculatively on
+    a pool but yielded strictly in candidate order.  The submission
+    window stays small so an early find, which closes this generator,
+    does not leave a long tail of queued blocks to drain."""
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        window: deque = deque()
+        for i in range(0, len(candidates), BLOCK_SIZE):
+            block = candidates[i : i + BLOCK_SIZE]
+            window.append(pool.submit(_evaluate_block, (block, m, small_sieve)))
+            if len(window) == workers * 4:
+                yield from window.popleft().result()
+        while window:
+            yield from window.popleft().result()
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
 def _scan_candidates(
     m: int,
     bound: int,
-    sieve: PrimeSieve,
     *,
     collect_failures: bool,
     workers: int = 1,
     progress: ProgressFn | None = None,
 ) -> tuple[SearchRecord, tuple[CandidateFailure, ...]]:
     t0 = time.perf_counter()
-    candidates = candidate_primes(m, 0, bound, sieve)
+    check_bound(bound)
+    candidates = candidate_primes(m, 0, bound)
     # reaches sqrt(N - 1) for every candidate, and pickles small enough
     # to ride along with each pool block
     small_sieve = sieve_primes(isqrt(bound) + 1)
+    if workers > 1 and len(candidates) > BLOCK_SIZE:
+        results = _pooled_results(candidates, m, small_sieve, workers)
+    else:
+        results = ((N, *_evaluate_candidate(N, m, small_sieve)) for N in candidates)
     failures: list[CandidateFailure] = []
 
     def finish(status: str, N, x, tested: int) -> SearchRecord:
         ms = (time.perf_counter() - t0) * 1000.0
         return SearchRecord(m, status, N, x, bound, tested, ms)
 
-    if workers <= 1 or len(candidates) <= BLOCK_SIZE:
-        for idx, N in enumerate(candidates):
-            x, passed, failed, witness = _evaluate_candidate(N, m, small_sieve)
+    with closing(results):
+        for done, (N, x, passed, failed, witness) in enumerate(results, 1):
             if passed:
                 # a sweep that finds one reports it rather than keep scanning
-                return finish("found", N, x, idx + 1), tuple(failures)
+                return finish("found", N, x, done), tuple(failures)
             if collect_failures:
                 failures.append(CandidateFailure(N, failed, witness))
-            if progress and (idx + 1) % PROGRESS_STRIDE == 0:
-                progress(m, N, idx + 1)
-        return finish("exhausted", None, None, len(candidates)), tuple(failures)
-
-    # Blocks run speculatively on the pool but are consumed strictly in
-    # candidate order, which keeps records worker-count independent.
-    # The submission window stays small so an early find does not leave
-    # a long tail of queued blocks to drain.
-    blocks = [
-        candidates[i : i + BLOCK_SIZE] for i in range(0, len(candidates), BLOCK_SIZE)
-    ]
-    done = 0
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        window: deque = deque()
-        next_block = 0
-        while next_block < len(blocks) or window:
-            while next_block < len(blocks) and len(window) < workers * 4:
-                window.append(
-                    pool.submit(
-                        _evaluate_block,
-                        (blocks[next_block], m, small_sieve),
-                    )
-                )
-                next_block += 1
-            block = window.popleft().result()
-            for N, x, passed, failed, witness in block:
-                done += 1
-                if passed:
-                    return finish("found", N, x, done), tuple(failures)
-                if collect_failures:
-                    failures.append(CandidateFailure(N, failed, witness))
-            if progress:
-                progress(m, block[-1][0], done)
-        return finish("exhausted", None, None, len(candidates)), tuple(failures)
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def check_bound(bound: int) -> None:
-    """Refuse a search bound no sieve should be built for, before
-    anything is allocated."""
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
-    if bound >= MAX_COUNTING_MODULUS:
-        # the sieve takes a byte per integer, and no modulus this large
-        # can be checked anyway
-        raise ValueError(
-            f"bound {bound} too large: moduli must stay below "
-            f"MAX_COUNTING_MODULUS = 2^31 = {MAX_COUNTING_MODULUS}"
-        )
-
-
-def _sieve_for(bound: int, sieve: PrimeSieve | None) -> PrimeSieve:
-    check_bound(bound)
-    if sieve is not None and sieve.bound >= bound:
-        return sieve
-    return sieve_primes(bound)
+            if progress and done % BLOCK_SIZE == 0:
+                progress(m, N, done)
+    return finish("exhausted", None, None, len(candidates)), tuple(failures)
 
 
 def search_min_modulus(
     m: int,
     bound: int = DEFAULT_SIEVE_BOUND,
     *,
-    sieve: PrimeSieve | None = None,
     workers: int = 1,
     progress: ProgressFn | None = None,
 ) -> SearchRecord:
@@ -290,12 +287,7 @@ def search_min_modulus(
     if m < 2:
         raise ValueError(f"search needs m >= 2, got {m}")
     record, _ = _scan_candidates(
-        m,
-        bound,
-        _sieve_for(bound, sieve),
-        collect_failures=False,
-        workers=workers,
-        progress=progress,
+        m, bound, collect_failures=False, workers=workers, progress=progress
     )
     return record
 
@@ -304,7 +296,6 @@ def sweep_nonexistence(
     m: int,
     bound: int | None = None,
     *,
-    sieve: PrimeSieve | None = None,
     workers: int = 1,
     progress: ProgressFn | None = None,
 ) -> SweepResult:
@@ -317,28 +308,14 @@ def sweep_nonexistence(
     if bound is None:
         bound = default_sweep_bound(m)
     record, failures = _scan_candidates(
-        m,
-        bound,
-        _sieve_for(bound, sieve),
-        collect_failures=True,
-        workers=workers,
-        progress=progress,
+        m, bound, collect_failures=True, workers=workers, progress=progress
     )
     return SweepResult(record, failures)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_search_worker(bound: int) -> None:
-    _WORKER_STATE["sieve"] = sieve_primes(bound)
-
-
 def _search_job(args: tuple[int, int]) -> SearchRecord:
     m, bound = args
-    record, _ = _scan_candidates(
-        m, bound, _WORKER_STATE["sieve"], collect_failures=False
-    )
+    record, _ = _scan_candidates(m, bound, collect_failures=False)
     return record
 
 
@@ -368,35 +345,17 @@ def search_all(
         for r in resume_records
         if r.bound_used == bound and m_lo <= r.m <= m_hi
     }
+    pending = [(m, bound) for m in range(m_lo, m_hi + 1) if m not in resume]
     out: list[SearchRecord] = []
-
-    def emit(rec: SearchRecord) -> None:
-        out.append(rec)
-        if on_record:
-            on_record(rec)
-        if progress:
-            progress(rec.m, rec.N or 0, rec.candidates_tested)
-
-    pending = [m for m in range(m_lo, m_hi + 1) if m not in resume]
-    if workers <= 1:
-        sieve = _sieve_for(bound, None)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        computed = (pool.map if workers > 1 else map)(_search_job, pending)
         for m in range(m_lo, m_hi + 1):
-            if m in resume:
-                emit(resume[m])
-            else:
-                rec, _ = _scan_candidates(m, bound, sieve, collect_failures=False)
-                emit(rec)
-        return out
-
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_search_worker,
-        initargs=(bound,),
-    ) as pool:
-        computed = pool.map(_search_job, [(m, bound) for m in pending], chunksize=1)
-        it = iter(computed)
-        for m in range(m_lo, m_hi + 1):
-            emit(resume[m] if m in resume else next(it))
+            rec = resume[m] if m in resume else next(computed)
+            out.append(rec)
+            if on_record:
+                on_record(rec)
+            if progress:
+                progress(rec.m, rec.N or 0, rec.candidates_tested)
     return out
 
 

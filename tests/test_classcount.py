@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,21 +19,29 @@ from ramsey_forge.partition import build_partition, _build_partition_unchecked
 from reference import full_class_index_table, full_pair_sum_class_matrix
 
 
-def reference_class_table(N, m, x):
-    cls = [-1] * N
+def reference_logs(N, x):
+    """log[t] = e with x^e = t (mod N), by a plain walk; log[0] = -1."""
+    log = [-1] * N
     t = 1
     for e in range(N - 1):
-        cls[t] = e % m
+        log[t] = e
         t = t * x % N
-    return cls
+    return log
 
 
-def reference_pair_matrix(N, m, x):
-    cls = reference_class_table(N, m, x)
-    T = [[0] * m for _ in range(m)]
-    for a in range(2, N):
-        b = (1 - a) % N
-        T[cls[a]][cls[b]] += 1
+def reference_class_table(N, m, x):
+    return [-1] + [e % m for e in reference_logs(N, x)[1:]]
+
+
+def reference_pair_matrix(log, m):
+    """T[i][j] counts the a in 2..N-1 with a in class i and 1 - a in
+    class j, reading classes off the logs of one walk."""
+    N = len(log)
+    cls = [e % m for e in log]
+    # 1 - a = N + 1 - a runs N-1, N-2, ..., 2 as a runs 2..N-1
+    T = np.zeros((m, m), dtype=np.int64)
+    for (i, j), count in Counter(zip(cls[2:], cls[N - 1:1:-1])).items():
+        T[i, j] = count
     return T
 
 
@@ -176,9 +186,10 @@ def test_pair_matrix_matches_definition():
     for N in sieve.primes.tolist()[1:]:
         fs = prime_factors(N - 1, sieve)
         x = smallest_generator(N, fs)
+        log = reference_logs(N, x)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             T = pair_sum_class_matrix(class_index_table(N, m, x), m)
-            assert T.tolist() == reference_pair_matrix(N, m, x), (N, m)
+            assert np.array_equal(T, reference_pair_matrix(log, m)), (N, m)
 
 
 def test_pair_matrix_matches_full_table_on_catalog_rows():

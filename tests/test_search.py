@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,24 +28,52 @@ def sieve():
     return sieve_primes(30_000)
 
 
-def test_candidate_primes_examples(sieve):
-    assert candidate_primes(2, 0, 50, sieve) == [5, 13, 17, 29, 37, 41]
-    assert candidate_primes(3, 0, 13, sieve) == [7, 13]
-    assert candidate_primes(400, 0, 800, sieve) == []
+def test_candidate_primes_examples():
+    assert candidate_primes(2, 0, 50) == [5, 13, 17, 29, 37, 41]
+    assert candidate_primes(3, 0, 13) == [7, 13]
+    assert candidate_primes(400, 0, 800) == []
     # half-open on the left: lo itself is excluded
-    assert candidate_primes(3, 7, 20, sieve) == [13, 19]
+    assert candidate_primes(3, 7, 20) == [13, 19]
 
 
-def test_candidate_primes_rejects_bad_args(sieve):
+def test_candidate_primes_rejects_bad_args():
     with pytest.raises(ValueError):
-        candidate_primes(0, 0, 100, sieve)
-    with pytest.raises(ValueError):
-        candidate_primes(2, 0, 50_000, sieve)
+        candidate_primes(0, 0, 100)
+    with pytest.raises(ValueError, match="MAX_COUNTING_MODULUS"):
+        candidate_primes(2, 0, 2**31)
+
+
+def test_candidate_primes_match_full_sieve():
+    # Covers p dividing 2m (never struck), base primes that lie on the
+    # progression themselves (7 and 13 for m = 3), and first > hi.
+    full = sieve_primes(300_000)
+    ranges = [(0, 2), (0, 3), (2, 3), (0, 10), (5, 5000), (1234, 299_999), (0, 300_000)]
+    for m in range(1, 121):
+        step = 2 * m
+        for lo, hi in ranges:
+            grid = np.arange(lo + 1 + (1 - (lo + 1)) % step, hi + 1, step)
+            expected = grid[full.is_prime[grid]].tolist()
+            assert candidate_primes(m, lo, hi) == expected, (m, lo, hi)
+
+
+def test_candidate_primes_near_limit_stay_small():
+    # the progression sieve holds a byte per term, 2^31 / 800 of them
+    # here, where a sieve of the whole range would take 2 GiB
+    tracemalloc.start()
+    try:
+        cands = candidate_primes(400, 0, MAX_COUNTING_MODULUS - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    top = cands[-100:]
+    assert top[-1] < MAX_COUNTING_MODULUS
+    assert all(N % 800 == 1 and pow(2, N - 1, N) == 1 for N in top)
 
 
 def test_candidates_all_qualify(sieve):
     for m in (2, 3, 7, 12, 50):
-        for N in candidate_primes(m, 0, 10_000, sieve):
+        for N in candidate_primes(m, 0, 10_000):
             assert N % (2 * m) == 1
             assert N in sieve
 
@@ -72,55 +101,55 @@ def test_ramsey_bound_table():
         assert bounds[c] == c * (bounds[c - 1] - 1) + 2
 
 
-def test_search_first_hit(sieve):
-    rec = search_min_modulus(2, 2_000, sieve=sieve)
+def test_search_first_hit():
+    rec = search_min_modulus(2, 2_000)
     assert (rec.status, rec.N, rec.x) == ("found", 5, 2)
     assert rec.candidates_tested == 1
     assert rec.bound_used == 2_000
 
 
-def test_search_known_minimums(sieve):
+def test_search_known_minimums():
     for m, N, x in [(3, 13, 2), (4, 41, 6), (5, 71, 7), (6, 97, 5), (7, 491, 2)]:
-        rec = search_min_modulus(m, 1_000, sieve=sieve)
+        rec = search_min_modulus(m, 1_000)
         assert (rec.status, rec.N, rec.x) == ("found", N, x), m
 
 
-def test_search_skips_smaller_qualifying_primes(sieve):
+def test_search_skips_smaller_qualifying_primes():
     # minimality is baked into candidate order: every qualifying prime
     # below the hit must fail its full check
     from ramsey_forge.checker import check_candidate
     from ramsey_forge.numbertheory import smallest_generator
 
-    rec = search_min_modulus(5, 1_000, sieve=sieve)
+    rec = search_min_modulus(5, 1_000)
     assert rec.N == 71
-    smaller = candidate_primes(5, 0, 70, sieve)
+    smaller = candidate_primes(5, 0, 70)
     assert rec.candidates_tested == len(smaller) + 1
     for N in smaller:
         assert not check_candidate(N, 5, smallest_generator(N)).overall
 
 
-def test_search_exhausted(sieve):
-    rec = search_min_modulus(8, 20_000, sieve=sieve)
+def test_search_exhausted():
+    rec = search_min_modulus(8, 20_000)
     assert rec.status == "exhausted"
     assert rec.N is None and rec.x is None
-    assert rec.candidates_tested == len(candidate_primes(8, 0, 20_000, sieve))
+    assert rec.candidates_tested == len(candidate_primes(8, 0, 20_000))
 
 
-def test_search_rejects_small_m(sieve):
+def test_search_rejects_small_m():
     with pytest.raises(ValueError):
-        search_min_modulus(1, 100, sieve=sieve)
+        search_min_modulus(1, 100)
 
 
-def test_search_non_monotone_neighbors(sieve):
+def test_search_non_monotone_neighbors():
     # minimal moduli are not monotone in m
-    n10 = search_min_modulus(10, 2_000, sieve=sieve).N
-    n11 = search_min_modulus(11, 2_000, sieve=sieve).N
+    n10 = search_min_modulus(10, 2_000).N
+    n11 = search_min_modulus(11, 2_000).N
     assert (n10, n11) == (1181, 947)
     assert n10 > n11
 
 
-def test_sweep_small_example(sieve):
-    result = sweep_nonexistence(3, 12, sieve=sieve)
+def test_sweep_small_example():
+    result = sweep_nonexistence(3, 12)
     assert result.record.status == "exhausted"
     assert result.record.candidates_tested == 1
     assert len(result.failures) == 1
@@ -131,17 +160,17 @@ def test_sweep_small_example(sieve):
     assert f.witness.residue == 3
 
 
-def test_sweep_found_reports_found(sieve):
-    result = sweep_nonexistence(3, 50, sieve=sieve)
+def test_sweep_found_reports_found():
+    result = sweep_nonexistence(3, 50)
     assert result.record.status == "found"
     assert result.record.N == 13
     assert [f.N for f in result.failures] == [7]
 
 
-def test_sweep_failures_cover_all_candidates(sieve):
-    result = sweep_nonexistence(8, 5_000, sieve=sieve)
+def test_sweep_failures_cover_all_candidates():
+    result = sweep_nonexistence(8, 5_000)
     assert result.record.status == "exhausted"
-    cands = candidate_primes(8, 0, 5_000, sieve)
+    cands = candidate_primes(8, 0, 5_000)
     assert [f.N for f in result.failures] == cands
     assert result.record.candidates_tested == len(cands)
     for f in result.failures:
@@ -174,18 +203,18 @@ def test_search_all_deterministic_across_workers(sieve):
     assert strip(seq) == strip(par)
 
 
-def test_parallel_single_m_matches_sequential(sieve):
+def test_parallel_single_m_matches_sequential():
     # force the block path with a tiny block budget: m=8 to 20k has
     # hundreds of candidates
-    seq = search_min_modulus(8, 20_000, sieve=sieve, workers=1)
-    par = search_min_modulus(8, 20_000, sieve=sieve, workers=2)
+    seq = search_min_modulus(8, 20_000, workers=1)
+    par = search_min_modulus(8, 20_000, workers=2)
     assert (seq.status, seq.N, seq.candidates_tested) == (
         par.status,
         par.N,
         par.candidates_tested,
     )
-    sweep_seq = sweep_nonexistence(6, 6_000, sieve=sieve, workers=1)
-    sweep_par = sweep_nonexistence(6, 6_000, sieve=sieve, workers=2)
+    sweep_seq = sweep_nonexistence(6, 6_000, workers=1)
+    sweep_par = sweep_nonexistence(6, 6_000, workers=2)
     assert sweep_seq.record.to_csv_row().rsplit(",", 1)[0] == sweep_par.record.to_csv_row().rsplit(",", 1)[0]
     assert sweep_seq.failures == sweep_par.failures
 
@@ -205,8 +234,8 @@ def test_search_all_resume_reuses_matching_records(sieve):
 
 
 def test_bound_past_int64_limit_refused_before_allocating(monkeypatch):
-    # a sieve takes a byte per integer and no modulus of 2^31 or more can
-    # be checked, so the bound is refused before any sieve or pool exists
+    # no modulus of 2^31 or more can be checked, so the bound is refused
+    # before any candidate list or pool exists
     def no_pool(*args, **kwargs):
         raise AssertionError("worker pool started")
 
@@ -218,6 +247,7 @@ def test_bound_past_int64_limit_refused_before_allocating(monkeypatch):
             lambda: search_min_modulus(2, MAX_COUNTING_MODULUS),
             lambda: sweep_nonexistence(13, MAX_COUNTING_MODULUS),
             lambda: search_all(2, 3, 2**40, workers=2),
+            lambda: candidate_primes(2, 0, MAX_COUNTING_MODULUS),
         ):
             with pytest.raises(ValueError, match="MAX_COUNTING_MODULUS"):
                 run()
@@ -272,12 +302,11 @@ def test_record_round_trips(sieve):
         SearchRecord.from_csv_row("1,2,3")
 
 
-def test_progress_callback_fires(sieve):
+def test_progress_callback_fires():
     seen = []
     search_min_modulus(
         8,
         20_000,
-        sieve=sieve,
         workers=2,
         progress=lambda m, N, tested: seen.append((m, N, tested)),
     )
