@@ -16,7 +16,6 @@ from .catalog import (
 from .checker import check_candidate, full_fast_check
 from .classcount import class_index_table, counting_report, pair_sum_class_matrix
 from .numbertheory import (
-    DEFAULT_SIEVE_BOUND,
     FactorSet,
     PrimeSieve,
     is_generator,
@@ -38,6 +37,7 @@ from .oracle import (
 from .partition import CyclotomicPartition, build_partition
 from .report import CheckReport, Witness
 from .search import (
+    DEFAULT_SEARCH_BOUND,
     CandidateFailure,
     SearchRecord,
     SweepResult,
@@ -55,7 +55,7 @@ __all__ = [
     "CatalogRow",
     "CheckReport",
     "CyclotomicPartition",
-    "DEFAULT_SIEVE_BOUND",
+    "DEFAULT_SEARCH_BOUND",
     "EdgeColoring",
     "FactorSet",
     "LabeledPartition",

@@ -20,15 +20,22 @@ a sum from X_p + X_q, and:
                                       scaling by x^i shifts both class
                                       indices, reaching every pair).
 
+With k even, -1 lies in X_0, so T[0][0] counts the a with a - 1 and a
+both in X_0, that is both with z^k = 1.  The sum-free test scans
+a = 2, 3, ... for the least such a (`_sum_free_scan`); about one a in
+m^2 qualifies, so when k is large against m^2 the scan settles nearly
+every candidate long before a walk of class 0 would.  A candidate the
+scan leaves open walks class 0 and masks it (`sum_free_violations`).
+
 T holds the cyclotomic numbers of order m.  With k even, Gauss's
 relations (i, j) = (j, i) = (-i, j - i) give T[d][d] = T[0][-d mod m]
 (Storer, Cyclotomy and Difference Sets, 1967), so row 0 decides the
-cyclic basis, and `PowerCharacter` reads row 0 off the k elements of
-class 0 in O(k log N) without a table.  Only the few candidates that
-pass the first three conditions build a class table and the full
-matrix, for the triangle condition; -1 in X_0 lets both read only half
-the group (see `class_index_table`), and both run over it in blocks of
-`BLOCK` residues, so neither allocates an O(N) int64 array.
+cyclic basis, and `PowerCharacter` reads row 0 off that walk in
+O(k log N) without a table.  Only the few candidates that pass the
+first three conditions build a class table and the full matrix, for
+the triangle condition; -1 in X_0 lets both read only half the group
+(see `class_index_table`), and both run over it in blocks of `BLOCK`
+residues, so neither allocates an O(N) int64 array.
 
 Every class-0 walk and the first block of the class table come from
 one kernel, `power_walk`, which lists g^0..g^(n-1) mod N by doubling:
@@ -41,8 +48,12 @@ int64 is exact; the kernel refuses larger moduli.
 
 from __future__ import annotations
 
+from functools import cache
+from math import isqrt
+
 import numpy as np
 
+from .numbertheory import PrimeSieve, is_generator, prime_factors, sieve_primes
 from .report import CheckReport, Witness
 
 MAX_COUNTING_MODULUS = 1 << 31
@@ -50,6 +61,15 @@ MAX_COUNTING_MODULUS = 1 << 31
 # of int64.  Their working set is then the same at every N, so the
 # process peak does not hinge on where the allocator put earlier arrays.
 BLOCK = 1 << 16
+# The sum-free scan gives up past k / SCAN_SHARE residues: the walk and
+# mask of class 0 cost about as much as scanning k / 4 (2-core Xeon,
+# numpy 2.4: 190 us at k = 6,254 against 140 us for 1,024 residues).
+SCAN_SHARE = 4
+
+
+def _refuse_large_modulus(N: int) -> None:
+    if N >= MAX_COUNTING_MODULUS:
+        raise ValueError(f"modulus {N} too large: need N < 2^31 = {MAX_COUNTING_MODULUS}")
 
 
 def power_walk(g: int, n: int, N: int) -> np.ndarray:
@@ -57,10 +77,7 @@ def power_walk(g: int, n: int, N: int) -> np.ndarray:
     powers starts here.  Refuses moduli the int64 products cannot hold
     before allocating anything.
     """
-    if N >= MAX_COUNTING_MODULUS:
-        raise ValueError(
-            f"modulus {N} too large: power walks need N < 2^31 = {MAX_COUNTING_MODULUS}"
-        )
+    _refuse_large_modulus(N)
     out = np.empty(n, dtype=np.int64)
     out[:1] = 1
     filled = 1
@@ -73,42 +90,36 @@ def power_walk(g: int, n: int, N: int) -> np.ndarray:
     return out
 
 
-def class_zero(N: int, m: int, x: int) -> np.ndarray:
-    """The order-k subgroup X_0 = {x^(jm) : 0 <= j < k}, k = (N - 1) / m,
-    in walk order (so it starts at 1).
+@cache
+def _trial_sieve() -> PrimeSieve:
+    """The primes up to sqrt(2^31), enough to factor any N - 1 < 2^31."""
+    return sieve_primes(isqrt(MAX_COUNTING_MODULUS))
 
-    Rejects m not dividing N - 1, and any x that does not generate a
-    cyclic group of order N - 1.  x^(N-1) = 1 makes the order of x
-    divide N - 1; x^((N-1)/q) != 1 for every prime q dividing m, with
-    the walk of x^m not returning to 1 early, makes it exactly N - 1.
-    No unit mod a composite N has that order, so composite moduli are
-    rejected too.
+
+def _require_generator(N: int, m: int, x: int) -> None:
+    """Raise unless m divides N - 1 and x has order N - 1 mod N.
+
+    Lucas's test: x^(N-1) = 1 makes the order of x divide N - 1, and
+    x^((N-1)/q) != 1 for every prime q dividing N - 1 makes it exactly
+    N - 1.  No unit mod a composite N has that order, so composite
+    moduli are rejected too.
     """
     if N < 3:
         raise ValueError(f"modulus must be an odd prime, got {N}")
+    _refuse_large_modulus(N)
     if m < 1 or (N - 1) % m != 0:
         raise ValueError(f"class count {m} does not divide {N - 1}")
-    if pow(x, N - 1, N) != 1:
-        raise ValueError(f"x={x} is not a generator mod {N}: x^{N - 1} != 1")
-    rest, q = m, 2
-    while rest > 1:
-        if q * q > rest:
-            q = rest  # what is left of m is prime
-        if rest % q == 0:
-            if pow(x, (N - 1) // q, N) == 1:
-                raise ValueError(f"x={x} is not a generator mod {N}: x^({N - 1}/{q}) = 1")
-            while rest % q == 0:
-                rest //= q
-        q += 1
-    k = (N - 1) // m
-    X = power_walk(pow(x, m, N), k, N)
-    repeat = np.flatnonzero(X[1:] == 1)
-    if repeat.size:
-        raise ValueError(
-            f"x={x} yields only {int(repeat[0]) + 1} of {k} class elements mod {N}; "
-            "not a generator"
-        )
-    return X
+    if pow(x, N - 1, N) != 1 or not is_generator(x, N, prime_factors(N - 1, _trial_sieve())):
+        raise ValueError(f"x={x} is not a generator mod {N}: its order is below {N - 1}")
+
+
+def class_zero(N: int, m: int, x: int) -> np.ndarray:
+    """The order-k subgroup X_0 = {x^(jm) : 0 <= j < k}, k = (N - 1) / m,
+    in walk order (so it starts at 1).  Rejects m not dividing N - 1 and
+    any x that does not generate the group (see `_require_generator`).
+    """
+    _require_generator(N, m, x)
+    return power_walk(pow(x, m, N), (N - 1) // m, N)
 
 
 def sum_free_violations(X: np.ndarray, N: int) -> np.ndarray:
@@ -139,16 +150,15 @@ def class_index_table(N: int, m: int, x: int) -> np.ndarray:
 
     Needs k = (N - 1) / m even: then -1 = x^H is in class 0, x^(e + H) = -x^e
     has class e mod m (H = km/2), and x^0..x^(H-1) folded by z -> min(z, N - z)
-    fills 1..H.  x^H = -1 and no return to 1 in that walk force ord x = N - 1.
-    The walk goes in blocks of B powers, B a multiple of m near `BLOCK`
-    (H = (k/2) m is one too), each the last times x^B, so the classes of
-    every block repeat 0..m-1 from its start.
+    fills 1..H, x being a generator (see `_require_generator`).  The walk
+    goes in blocks of B powers, B a multiple of m near `BLOCK` (H = (k/2) m
+    is one too), each the last times x^B, so the classes of every block
+    repeat 0..m-1 from its start.
     """
     if N < 3 or m < 1 or (N - 1) % m != 0 or (N - 1) // m % 2:
         raise ValueError(f"no half table for N={N}, m={m}: needs m | N - 1 with k even")
+    _require_generator(N, m, x)
     H = (N - 1) // 2
-    if pow(x, H, N) != N - 1:
-        raise ValueError(f"x={x} is not a generator mod {N}")
     B = min(H, m * max(1, BLOCK // m))
     z = power_walk(x, B, N)
     step = pow(x, B, N)
@@ -160,8 +170,6 @@ def class_index_table(N: int, m: int, x: int) -> np.ndarray:
         if e:
             np.multiply(z, step, out=z)
             np.remainder(z, N, out=z)
-        if (z[int(e == 0) : n] == 1).any():
-            raise ValueError(f"x={x} is not a generator mod {N}")
         np.subtract(N, z[:n], out=fold[:n])
         np.minimum(z[:n], fold[:n], out=fold[:n])
         h[fold[:n]] = classes[:n]
@@ -206,8 +214,8 @@ class PowerCharacter:
     its m-th power character z^k = zeta^(e mod m) for zeta = x^k, so the
     class is the position of z^k among zeta^0..zeta^(m-1).
 
-    Raises unless those m powers are distinct: with x^m of order k, as
-    `class_zero` checks, x^k of order m makes x a generator.
+    x must generate the group (see `_require_generator`), which makes
+    those m powers distinct.
     """
 
     def __init__(self, N: int, m: int, x: int):
@@ -215,9 +223,6 @@ class PowerCharacter:
         roots = power_walk(pow(x, self.k, N), m, N)
         self._order = np.argsort(roots)
         self._roots = roots[self._order]
-        if (self._roots[1:] == self._roots[:-1]).any():
-            raise ValueError(f"x={x}: x^{self.k} has order below {m} mod {N}; "
-                             "not a generator")
 
     def classes(self, z: np.ndarray) -> np.ndarray:
         """Class index of each nonzero residue in the int64 array z."""
@@ -243,27 +248,51 @@ class PowerCharacter:
         raise AssertionError("witness class unexpectedly empty")
 
 
+def _sum_free_scan(N: int, m: int, budget: int) -> int | None:
+    """The least a >= 2 with a - 1 and a both in X_0 (z^k = 1), or None
+    if the chunks that fit in `budget` residues hold none.  With k even it
+    is the least element of `sum_free_violations`.  z runs in doubling
+    chunks that overlap by one, so one power per z serves a - 1 and a.
+    """
+    k = (N - 1) // m
+    lo, size = 1, max(64, m * m)
+    while lo < N - 1:
+        hi = min(lo + size, N - 1)
+        if hi - 1 > budget:
+            return None
+        r = _power_mod(np.arange(lo, hi + 1, dtype=np.int64), k, N) == 1
+        hit = np.flatnonzero(r[:-1] & r[1:])
+        if hit.size:
+            return lo + 1 + int(hit[0])
+        lo, size = hi, 2 * size
+    return None
+
+
 def counting_report(N: int, m: int, x: int) -> CheckReport:
     """Full four-condition report for the construction (N, m, x).
 
     Same flag order, short-circuiting, and witness conventions as the
-    bit-mask reference the tests hold it to.  Symmetry, the sum-free
-    test and the cyclic basis are read off class 0 and row 0 of T; only
-    a candidate that passes all three builds the half class table and
-    the full matrix, for the triangle condition.
+    bit-mask reference the tests hold it to.  Symmetry is the parity of
+    k.  The sum-free witness comes from `_sum_free_scan`; a candidate it
+    leaves open walks class 0, which decides sum-freeness and gives row
+    0 of T for the cyclic basis.  Only a candidate that passes all three
+    builds the half class table and the full matrix, for the triangle.
     """
-    X = class_zero(N, m, x)
-    if X.size % 2 != 0:
+    _require_generator(N, m, x)
+    k = (N - 1) // m
+    if k % 2:
         # -1 = x^((N-1)/2) falls outside X_0, which makes negation move
         # every class wholesale; the first failing element of class 0 is
-        # then simply its minimum.
-        w = Witness("symmetric", (0,), int(X.min()))
-        return CheckReport(False, None, None, None, w)
+        # then simply its minimum, x^0 = 1.
+        return CheckReport(False, None, None, None, Witness("symmetric", (0,), 1))
 
-    bad = sum_free_violations(X, N)
-    if bad.size:
-        w = Witness("sum_free", (0, 0), int(bad.min()))
-        return CheckReport(True, False, None, None, w)
+    a = _sum_free_scan(N, m, k // SCAN_SHARE)
+    if a is None:
+        X = power_walk(pow(x, m, N), k, N)
+        bad = sum_free_violations(X, N)
+        a = int(bad.min()) if bad.size else None
+    if a is not None:
+        return CheckReport(True, False, None, None, Witness("sum_free", (0, 0), a))
 
     char = PowerCharacter(N, m, x)
     # z of class j is missed by X_0 + X_0 exactly when T[d][d] vanishes

@@ -18,9 +18,9 @@ from typing import IO, Sequence
 
 from . import catalog as catalog_mod
 from . import oracle as oracle_mod
-from .numbertheory import DEFAULT_SIEVE_BOUND
 from .partition import build_partition
 from .search import (
+    DEFAULT_SEARCH_BOUND,
     SEARCH_CSV_HEADER,
     SearchRecord,
     check_bound,
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="least passing modulus per color count")
     sp.add_argument("--m", type=_parse_m_range, required=True, metavar="A..B")
-    sp.add_argument("--bound", type=int, default=DEFAULT_SIEVE_BOUND, metavar="B")
+    sp.add_argument("--bound", type=int, default=DEFAULT_SEARCH_BOUND, metavar="B")
     sp.add_argument("--oracle", action="store_true")
     sp.add_argument("--resume", action="store_true")
     _add_common(sp)

@@ -17,8 +17,6 @@ from math import isqrt
 
 import numpy as np
 
-DEFAULT_SIEVE_BOUND = 2_000_000
-
 
 @dataclass(frozen=True, eq=False)
 class PrimeSieve:
@@ -73,11 +71,11 @@ def prime_factors(n: int, sieve: PrimeSieve) -> FactorSet:
     """
     if n < 2:
         raise ValueError(f"cannot factor {n}; need n >= 2")
-    primes = sieve.primes
-    cut = int(np.searchsorted(primes, isqrt(n), side="right"))
     rem = n
     out: list[int] = []
-    for p in primes[:cut].tolist():
+    # the loop mostly stops within a few primes, and a memoryview yields
+    # Python ints one at a time instead of converting the whole array
+    for p in memoryview(sieve.primes):
         if p * p > rem:
             break
         if rem % p == 0:

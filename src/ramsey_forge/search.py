@@ -8,9 +8,11 @@ them by sieving that progression alone, a byte per term, from the
 primes up to sqrt(bound); no sieve of the whole range 0..bound is built.
 
 The economics: nearly every candidate dies on the sum-free condition,
-and most of the rest on the cyclic basis, and the counting engine
-decides both from the k elements of class 0 without building the O(N)
-class table.  So searches and sweeps send every candidate straight to
+and most of the rest on the cyclic basis.  The counting engine decides
+the first by scanning a few hundred residues for two consecutive m-th
+powers when k is large against m^2, and otherwise, like the second,
+from the k elements of class 0, never building the O(N) class table.
+So searches and sweeps send every candidate straight to
 `check_candidate`; only the few that reach the triangle condition pay
 for a table.  A search drops the witness of each failure, a sweep logs
 it.
@@ -36,16 +38,12 @@ import numpy as np
 
 from .checker import check_candidate
 from .classcount import MAX_COUNTING_MODULUS
-from .numbertheory import (
-    DEFAULT_SIEVE_BOUND,
-    PrimeSieve,
-    prime_factors,
-    sieve_primes,
-    smallest_generator,
-)
+from .numbertheory import PrimeSieve, prime_factors, sieve_primes, smallest_generator
 from .report import Witness
 
 SEARCH_CSV_HEADER = "m,status,N,x,bound_used,candidates_tested,elapsed_ms"
+
+DEFAULT_SEARCH_BOUND = 2_000_000
 
 BLOCK_SIZE = 64
 
@@ -276,7 +274,7 @@ def _scan_candidates(
 
 def search_min_modulus(
     m: int,
-    bound: int = DEFAULT_SIEVE_BOUND,
+    bound: int = DEFAULT_SEARCH_BOUND,
     *,
     workers: int = 1,
     progress: ProgressFn | None = None,
@@ -322,7 +320,7 @@ def _search_job(args: tuple[int, int]) -> SearchRecord:
 def search_all(
     m_lo: int,
     m_hi: int,
-    bound: int = DEFAULT_SIEVE_BOUND,
+    bound: int = DEFAULT_SEARCH_BOUND,
     *,
     workers: int = 1,
     progress: ProgressFn | None = None,

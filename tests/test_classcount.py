@@ -13,9 +13,11 @@ from ramsey_forge.classcount import (
     counting_report,
     pair_sum_class_matrix,
     power_walk,
+    sum_free_violations,
 )
 from ramsey_forge.numbertheory import prime_factors, sieve_primes, smallest_generator
 from ramsey_forge.partition import build_partition, _build_partition_unchecked
+from ramsey_forge.search import candidate_primes
 from reference import full_class_index_table, full_pair_sum_class_matrix
 
 
@@ -218,6 +220,40 @@ def test_pair_matrix_row_sums_and_symmetry():
         sums = T.sum(axis=1)
         assert sums[0] == k - 1
         assert all(int(s) == k for s in sums[1:])
+
+
+def least_violation(N, m, x):
+    bad = sum_free_violations(class_zero(N, m, x), N)
+    return int(bad.min()) if bad.size else None
+
+
+def test_sum_free_scan_is_least_walk_violation_to_2000():
+    # with no budget the scan covers every a, so it must find the least
+    # violation of the walk and mask, or report none when X_0 is sum-free
+    sieve = sieve_primes(2000)
+    for N in sieve.primes.tolist()[1:]:
+        x = smallest_generator(N, prime_factors(N - 1, sieve))
+        for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
+            assert classcount._sum_free_scan(N, m, N) == least_violation(N, m, x), (N, m)
+
+
+def test_scanned_witness_is_least_walk_violation_near_2_5m(monkeypatch):
+    # every candidate here has k far above 4 m^2, so the scan decides it;
+    # a walk of class 0 would be the only other way to a sum_free witness
+    def no_walk(*args):
+        raise AssertionError("class 0 walked")
+
+    reports = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(classcount, "power_walk", no_walk)
+        for m in (8, 13):
+            for N in candidate_primes(m, 2_400_000, 2_500_000):
+                x = smallest_generator(N)
+                reports[N, m, x] = counting_report(N, m, x)
+    assert len(reports) == 814 + 540
+    for (N, m, x), rep in reports.items():
+        assert rep.witness.condition == "sum_free", (N, m)
+        assert rep.witness.residue == least_violation(N, m, x), (N, m)
 
 
 def test_counting_report_worked_examples():

@@ -1,7 +1,6 @@
 import pytest
 
 from ramsey_forge.numbertheory import (
-    DEFAULT_SIEVE_BOUND,
     FactorSet,
     is_generator,
     mod_pow,
@@ -53,7 +52,7 @@ def test_sieve_default_bound_edge():
     # division here before trusting the sieve with it
     assert naive_is_prime(1999993)
     assert all(not naive_is_prime(n) for n in range(1999994, 2000001))
-    s = sieve_primes(DEFAULT_SIEVE_BOUND)
+    s = sieve_primes(2_000_000)
     assert int(s.primes[-1]) == 1999993
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -176,6 +177,21 @@ def test_sweep_failures_cover_all_candidates():
     for f in result.failures:
         assert f.failed_check in ("sum_free", "cyclic_basis", "triangle")
         assert f.witness.condition == f.failed_check
+
+
+@pytest.mark.parametrize("m,sum_free,cyclic_basis", [(8, 1284, 2), (13, 1428, 4)])
+def test_sweep_tallies_and_sum_free_witnesses_at_default_bounds(m, sum_free, cyclic_basis):
+    # each sum_free witness is checked with builtin pow alone: a and
+    # 1 - a are m-th powers (z^k = 1), and no smaller z >= 2 is such a pair
+    result = sweep_nonexistence(m)
+    assert result.record.status == "exhausted"
+    tally = Counter(f.failed_check for f in result.failures)
+    assert tally == {"sum_free": sum_free, "cyclic_basis": cyclic_basis}
+    for f in result.failures:
+        if f.failed_check == "sum_free":
+            N, a, k = f.N, f.witness.residue, (f.N - 1) // m
+            pairs = [z for z in range(2, a + 1) if pow(z, k, N) == pow(1 - z, k, N) == 1]
+            assert f.witness.classes == (0, 0) and pairs[:1] == [a], (N, a)
 
 
 def test_sweep_default_bounds():
