@@ -15,15 +15,7 @@ from .catalog import (
 )
 from .checker import check_candidate, full_fast_check
 from .classcount import class_index_table, counting_report, pair_sum_class_matrix
-from .numbertheory import (
-    FactorSet,
-    PrimeSieve,
-    is_generator,
-    mod_pow,
-    prime_factors,
-    sieve_primes,
-    smallest_generator,
-)
+from .numbertheory import is_generator, prime_factors, sieve_primes, smallest_generator
 from .oracle import (
     LabeledPartition,
     Relation,
@@ -57,9 +49,7 @@ __all__ = [
     "CyclotomicPartition",
     "DEFAULT_SEARCH_BOUND",
     "EdgeColoring",
-    "FactorSet",
     "LabeledPartition",
-    "PrimeSieve",
     "Relation",
     "RowVerification",
     "ScanRecord",
@@ -77,7 +67,6 @@ __all__ = [
     "full_fast_check",
     "is_generator",
     "load_catalog",
-    "mod_pow",
     "naive_check",
     "pair_sum_class_matrix",
     "partition_atoms",

@@ -27,6 +27,9 @@ from .search import search_min_modulus
 CATALOG_CSV_HEADER = "m,N,x"
 CATALOG_M_RANGE = (2, 400)
 CATALOG_MISSING = frozenset({8, 13})
+# An export lists all N(N - 1)/2 edges: about 330 MiB of peak memory at
+# N = 2,017, growing with N^2.  Every catalog row up to 2,000 fits.
+EXPORT_MAX_MODULUS = 2000
 
 # color index -> DOT color name; indexes past the end wrap around
 DOT_PALETTE = (
@@ -179,13 +182,24 @@ class EdgeColoring:
                 yield u, v, int(self.diff_class[(v - u) % self.N])
 
 
+def check_export_modulus(N: int) -> None:
+    """Refuse N > EXPORT_MAX_MODULUS before any partition is built."""
+    if N > EXPORT_MAX_MODULUS:
+        raise ValueError(
+            f"export limited to N <= {EXPORT_MAX_MODULUS}, got {N}: "
+            f"the coloring lists all N(N - 1)/2 edges"
+        )
+
+
 def export_coloring(p: CyclotomicPartition, fmt: str) -> str:
     """Render the coloring as Graphviz DOT or as JSON.
 
     DOT names colors from a fixed palette (0 red, 1 blue, 2 green, ...)
     cycling when m exceeds it; JSON keeps numeric class indexes in an
-    edges array of {u, v, color} objects with u < v.
+    edges array of {u, v, color} objects with u < v.  Refuses
+    N > EXPORT_MAX_MODULUS.
     """
+    check_export_modulus(p.N)
     coloring = EdgeColoring.from_partition(p)
     if fmt == "dot":
         out = [

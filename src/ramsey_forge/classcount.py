@@ -48,15 +48,11 @@ int64 is exact; the kernel refuses larger moduli.
 
 from __future__ import annotations
 
-from functools import cache
-from math import isqrt
-
 import numpy as np
 
-from .numbertheory import PrimeSieve, is_generator, prime_factors, sieve_primes
+from .numbertheory import MAX_COUNTING_MODULUS, is_generator
 from .report import CheckReport, Witness
 
-MAX_COUNTING_MODULUS = 1 << 31
 # Residues per vectorised pass of the table and matrix builders: 512 KiB
 # of int64.  Their working set is then the same at every N, so the
 # process peak does not hinge on where the allocator put earlier arrays.
@@ -90,12 +86,6 @@ def power_walk(g: int, n: int, N: int) -> np.ndarray:
     return out
 
 
-@cache
-def _trial_sieve() -> PrimeSieve:
-    """The primes up to sqrt(2^31), enough to factor any N - 1 < 2^31."""
-    return sieve_primes(isqrt(MAX_COUNTING_MODULUS))
-
-
 def _require_generator(N: int, m: int, x: int) -> None:
     """Raise unless m divides N - 1 and x has order N - 1 mod N.
 
@@ -109,7 +99,7 @@ def _require_generator(N: int, m: int, x: int) -> None:
     _refuse_large_modulus(N)
     if m < 1 or (N - 1) % m != 0:
         raise ValueError(f"class count {m} does not divide {N - 1}")
-    if pow(x, N - 1, N) != 1 or not is_generator(x, N, prime_factors(N - 1, _trial_sieve())):
+    if pow(x, N - 1, N) != 1 or not is_generator(x, N):
         raise ValueError(f"x={x} is not a generator mod {N}: its order is below {N - 1}")
 
 
@@ -137,11 +127,10 @@ def class_columns(N: int, m: int, x: int) -> np.ndarray:
     """The walk x^0..x^(N-2) in rows of m, so column i is class i.
 
     Raises if m does not divide N - 1 or x does not generate a cyclic
-    group of order N - 1 (see `class_zero`).
+    group of order N - 1 (see `_require_generator`).
     """
-    if m < 1 or (N - 1) % m != 0:
-        raise ValueError(f"class count {m} does not divide {N - 1}")
-    return class_zero(N, 1, x).reshape(-1, m)
+    _require_generator(N, m, x)
+    return power_walk(x, N - 1, N).reshape(-1, m)
 
 
 def class_index_table(N: int, m: int, x: int) -> np.ndarray:
@@ -155,9 +144,9 @@ def class_index_table(N: int, m: int, x: int) -> np.ndarray:
     is one too), each the last times x^B, so the classes of every block
     repeat 0..m-1 from its start.
     """
-    if N < 3 or m < 1 or (N - 1) % m != 0 or (N - 1) // m % 2:
-        raise ValueError(f"no half table for N={N}, m={m}: needs m | N - 1 with k even")
     _require_generator(N, m, x)
+    if (N - 1) // m % 2:
+        raise ValueError(f"no half table for N={N}, m={m}: needs k even, k = (N - 1) / m")
     H = (N - 1) // 2
     B = min(H, m * max(1, BLOCK // m))
     z = power_walk(x, B, N)

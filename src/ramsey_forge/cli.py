@@ -14,7 +14,8 @@ import json
 import os
 import sys
 import time
-from typing import IO, Sequence
+from contextlib import contextmanager, nullcontext
+from typing import IO, Iterator, Sequence
 
 from . import catalog as catalog_mod
 from . import oracle as oracle_mod
@@ -91,10 +92,22 @@ class _Progress:
             print(f"{self.label}: m={m} N={N} tested={tested}", file=sys.stderr)
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _document(path: str | None) -> Iterator[IO[str]]:
+    """Stdout, or a file that replaces `path` only once it is whole: it
+    is written as PATH.<pid>.tmp and renamed into place, and an error
+    leaves the old file and no temporary behind."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline=""), True
+        yield sys.stdout
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _emit(sink: IO[str], line: str) -> None:
@@ -133,8 +146,11 @@ def _cmd_search(args) -> int:
             print(f"error: cannot resume from {args.out}: {e}", file=sys.stderr)
             return 1
 
-    sink, close = _open_out(args.out)
-    try:
+    # records stream straight into --out, which --resume reads back
+    out = nullcontext(sys.stdout)
+    if args.out:
+        out = open(args.out, "w", encoding="ascii", newline="")
+    with out as sink:
         if args.format == "csv":
             _emit(sink, SEARCH_CSV_HEADER)
             emit = lambda r: _emit(sink, r.to_csv_row())
@@ -145,9 +161,6 @@ def _cmd_search(args) -> int:
             workers=workers,
             progress=progress, resume_records=resume_records, on_record=emit,
         )
-    finally:
-        if close:
-            sink.close()
 
     if args.oracle:
         for r in records:
@@ -176,26 +189,15 @@ def _cmd_sweep(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    sink, close = _open_out(args.out)
-    try:
+    with _document(args.out) as sink:
         if args.format == "csv":
             _emit(sink, SEARCH_CSV_HEADER)
             _emit(sink, result.record.to_csv_row())
         else:
             _emit(sink, json.dumps(result.record.to_dict(), separators=(",", ":")))
-    finally:
-        if close:
-            sink.close()
-
     if args.failures:
-        tmp = f"{args.failures}.{os.getpid()}.tmp"  # renamed over the log once whole
-        try:
-            with open(tmp, "w", encoding="ascii", newline="") as f:
-                f.writelines(fail.to_json() + "\n" for fail in result.failures)
-            os.replace(tmp, args.failures)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        with _document(args.failures) as f:
+            f.writelines(fail.to_json() + "\n" for fail in result.failures)
     if not args.quiet:
         print(
             f"sweep m={args.m}: {result.record.status}, "
@@ -226,8 +228,7 @@ def _cmd_verify(args) -> int:
         rows, minimality=args.minimality, progress=progress
     )
 
-    sink, close = _open_out(args.out)
-    try:
+    with _document(args.out) as sink:
         if args.format == "csv":
             _emit(sink, VERIFY_CSV_HEADER)
             for v in results:
@@ -243,9 +244,6 @@ def _cmd_verify(args) -> int:
         else:
             for v in results:
                 _emit(sink, json.dumps(v.to_dict(), separators=(",", ":")))
-    finally:
-        if close:
-            sink.close()
 
     failed = [v for v in results if not v.passed]
     if failed:
@@ -268,18 +266,14 @@ def _cmd_bound(args) -> int:
 
 def _cmd_export(args) -> int:
     try:
+        catalog_mod.check_export_modulus(args.N)
         p = build_partition(args.N, args.m, args.x)
         doc = catalog_mod.export_coloring(p, args.format)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    sink, close = _open_out(args.out)
-    try:
+    with _document(args.out) as sink:
         sink.write(doc)
-        sink.flush()
-    finally:
-        if close:
-            sink.close()
     return 0
 
 
@@ -289,8 +283,7 @@ def _cmd_scan(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    sink, close = _open_out(args.out)
-    try:
+    with _document(args.out) as sink:
         if args.format == "csv":
             _emit(sink, SCAN_CSV_HEADER)
             for r in records:
@@ -304,9 +297,6 @@ def _cmd_scan(args) -> int:
         else:
             for r in records:
                 _emit(sink, json.dumps(r.to_dict(), separators=(",", ":")))
-    finally:
-        if close:
-            sink.close()
     disagree = [r for r in records if not r.agree]
     if disagree:
         for r in disagree:

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .checker import full_fast_check
-from .numbertheory import prime_factors, sieve_primes, smallest_generator
+from .numbertheory import sieve_primes, smallest_generator
 from .partition import CyclotomicPartition, build_partition
 from .report import CheckReport, Witness
 
@@ -295,13 +295,11 @@ def exhaustive_small_scan(N_max: int) -> list[ScanRecord]:
     """
     if N_max > ORACLE_SCAN_MAX:
         raise ValueError(f"scan limited to N <= {ORACLE_SCAN_MAX}, got {N_max}")
-    sieve = sieve_primes(max(N_max, 2))
     records = []
-    for N in sieve.primes.tolist():
-        if N > N_max or N < 5:
+    for N in sieve_primes(max(N_max, 2)).tolist():
+        if N < 5:
             continue
-        factors = prime_factors(N - 1, sieve)
-        x = smallest_generator(N, factors)
+        x = smallest_generator(N)
         for m in _divisors((N - 1) // 2):
             if m < 2:
                 continue

@@ -37,8 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .checker import check_candidate
-from .classcount import MAX_COUNTING_MODULUS
-from .numbertheory import PrimeSieve, prime_factors, sieve_primes, smallest_generator
+from .numbertheory import MAX_COUNTING_MODULUS, sieve_primes, smallest_generator
 from .report import Witness
 
 SEARCH_CSV_HEADER = "m,status,N,x,bound_used,candidates_tested,elapsed_ms"
@@ -183,7 +182,7 @@ def candidate_primes(m: int, lo: int, hi: int) -> list[int]:
     is_prime = np.ones((hi - first) // step + 1, dtype=bool)
     if first == 1:
         is_prime[0] = False
-    for p in sieve_primes(max(isqrt(hi), 2)).primes.tolist():
+    for p in sieve_primes(max(isqrt(hi), 2)).tolist():
         if step % p == 0:
             continue
         i = -first * pow(step, -1, p) % p
@@ -193,15 +192,9 @@ def candidate_primes(m: int, lo: int, hi: int) -> list[int]:
     return (first + step * np.flatnonzero(is_prime)).tolist()
 
 
-def _evaluate_candidate(
-    N: int, m: int, small_sieve: PrimeSieve
-) -> tuple[int, bool, str | None, Witness | None]:
-    """(x, passed, failed_check, witness) for one qualifying modulus.
-
-    `small_sieve` must reach sqrt(N - 1), for factoring N - 1.
-    """
-    factors = prime_factors(N - 1, small_sieve)
-    x = smallest_generator(N, factors)
+def _evaluate_candidate(N: int, m: int) -> tuple[int, bool, str | None, Witness | None]:
+    """(x, passed, failed_check, witness) for one qualifying modulus."""
+    x = smallest_generator(N)
     report = check_candidate(N, m, x)
     if report.overall:
         return x, True, None, None
@@ -209,14 +202,14 @@ def _evaluate_candidate(
 
 
 def _evaluate_block(
-    args: tuple[Sequence[int], int, PrimeSieve]
+    args: tuple[Sequence[int], int]
 ) -> list[tuple[int, int, bool, str | None, Witness | None]]:
-    Ns, m, small_sieve = args
-    return [(N, *_evaluate_candidate(N, m, small_sieve)) for N in Ns]
+    Ns, m = args
+    return [(N, *_evaluate_candidate(N, m)) for N in Ns]
 
 
 def _pooled_results(
-    candidates: list[int], m: int, small_sieve: PrimeSieve, workers: int
+    candidates: list[int], m: int, workers: int
 ) -> Iterator[tuple[int, int, bool, str | None, Witness | None]]:
     """`_evaluate_block` over blocks of candidates, run speculatively on
     a pool but yielded strictly in candidate order.  The submission
@@ -227,7 +220,7 @@ def _pooled_results(
         window: deque = deque()
         for i in range(0, len(candidates), BLOCK_SIZE):
             block = candidates[i : i + BLOCK_SIZE]
-            window.append(pool.submit(_evaluate_block, (block, m, small_sieve)))
+            window.append(pool.submit(_evaluate_block, (block, m)))
             if len(window) == workers * 4:
                 yield from window.popleft().result()
         while window:
@@ -247,13 +240,10 @@ def _scan_candidates(
     t0 = time.perf_counter()
     check_bound(bound)
     candidates = candidate_primes(m, 0, bound)
-    # reaches sqrt(N - 1) for every candidate, and pickles small enough
-    # to ride along with each pool block
-    small_sieve = sieve_primes(isqrt(bound) + 1)
     if workers > 1 and len(candidates) > BLOCK_SIZE:
-        results = _pooled_results(candidates, m, small_sieve, workers)
+        results = _pooled_results(candidates, m, workers)
     else:
-        results = ((N, *_evaluate_candidate(N, m, small_sieve)) for N in candidates)
+        results = ((N, *_evaluate_candidate(N, m)) for N in candidates)
     failures: list[CandidateFailure] = []
 
     def finish(status: str, N, x, tested: int) -> SearchRecord:

@@ -17,12 +17,7 @@ import pytest
 from ramsey_forge.catalog import load_catalog
 from ramsey_forge.classcount import class_zero
 from ramsey_forge.cli import main
-from ramsey_forge.numbertheory import (
-    is_generator,
-    prime_factors,
-    sieve_primes,
-    smallest_generator,
-)
+from ramsey_forge.numbertheory import is_generator, sieve_primes, smallest_generator
 from ramsey_forge.oracle import (
     Relation,
     atom_decomposition,
@@ -252,11 +247,10 @@ def test_criterion_09_structural_invariants(capsys):
     problems = []
 
     # the power-residue class is the same whatever generator builds it
-    for N in sieve.primes.tolist():
+    for N in sieve.tolist():
         if N < 5 or N > 500:
             continue
-        factors = prime_factors(N - 1, sieve)
-        gens = [g for g in range(2, N) if is_generator(g, N, factors)]
+        gens = [g for g in range(2, N) if is_generator(g, N)]
         for m in range(2, N):
             if (N - 1) % m:
                 continue
@@ -268,7 +262,7 @@ def test_criterion_09_structural_invariants(capsys):
     # class-0 shortcuts: one class decides symmetry/sum-freeness/basis,
     # the (0,j) pairs decide the whole triangle grid
     pairs = 0
-    for N in sieve.primes.tolist():
+    for N in sieve.tolist():
         if N < 5:
             continue
         for m in range(2, (N - 1) // 2 + 1):

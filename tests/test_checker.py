@@ -22,11 +22,10 @@ from reference import (
 
 def valid_pairs(n_max):
     sieve = sieve_primes(n_max)
-    for N in sieve.primes.tolist():
+    for N in sieve.tolist():
         if N < 5:
             continue
-        fs = prime_factors(N - 1, sieve)
-        x = smallest_generator(N, fs)
+        x = smallest_generator(N)
         for m in range(2, (N - 1) // 2 + 1):
             if (N - 1) % (2 * m) == 0:
                 yield N, m, x
@@ -150,14 +149,13 @@ def test_methods_agree_on_larger_sample():
     sieve = sieve_primes(30_000)
     sample = [
         (N, m)
-        for N in sieve.primes.tolist()[200::37]
+        for N in sieve.tolist()[200::37]
         for m in range(2, 40)
         if (N - 1) % (2 * m) == 0
     ]
     assert len(sample) > 30
     for N, m in sample:
-        fs = prime_factors(N - 1, sieve)
-        x = smallest_generator(N, fs)
+        x = smallest_generator(N)
         assert check_candidate(N, m, x) == bitset_reference(N, m, x), (N, m)
 
 
@@ -193,7 +191,7 @@ def test_check_candidate_rejects_every_non_generator_exhaustively():
             continue
         gens = set()
         if prime:
-            exps = [(N - 1) // q for q in prime_factors(N - 1, sieve).distinct_primes]
+            exps = [(N - 1) // q for q in prime_factors(N - 1)]
             gens = {x for x in range(1, N) if all(pow(x, e, N) != 1 for e in exps)}
         ms = [m for m in range(1, N) if (N - 1) % m == 0]
         for x in range(1, N):

@@ -15,7 +15,7 @@ from ramsey_forge.classcount import (
     power_walk,
     sum_free_violations,
 )
-from ramsey_forge.numbertheory import prime_factors, sieve_primes, smallest_generator
+from ramsey_forge.numbertheory import sieve_primes, smallest_generator
 from ramsey_forge.partition import build_partition, _build_partition_unchecked
 from ramsey_forge.search import candidate_primes
 from reference import full_class_index_table, full_pair_sum_class_matrix
@@ -56,9 +56,8 @@ def test_class_table_small_example():
 
 def test_class_table_matches_sequential_walk():
     sieve = sieve_primes(3000)
-    for N in sieve.primes.tolist()[2::11]:
-        fs = prime_factors(N - 1, sieve)
-        x = smallest_generator(N, fs)
+    for N in sieve.tolist()[2::11]:
+        x = smallest_generator(N)
         H = (N - 1) // 2
         for m in [d for d in range(1, 13) if (N - 1) % d == 0]:
             cls = reference_class_table(N, m, x)
@@ -83,8 +82,8 @@ def test_kernel_matches_power_residue_definition_to_2000():
     # (z * x^-i)^k = z^k * x^(-ik) = 1.  The m values x^(-ik) are
     # distinct for a generator x, so exactly one i fits each z.
     sieve = sieve_primes(2000)
-    for N in sieve.primes.tolist()[1:]:
-        x = smallest_generator(N, prime_factors(N - 1, sieve))
+    for N in sieve.tolist()[1:]:
+        x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0]:
             k = (N - 1) // m
             zk = [pow(z, k, N) for z in range(N)]
@@ -111,8 +110,8 @@ def test_character_row_is_row_zero_of_pair_matrix_to_2000():
     # matrix, and with k even the diagonal must read T[d][d] = T[0][-d],
     # which is what lets row 0 alone decide the cyclic basis.
     sieve = sieve_primes(2000)
-    for N in sieve.primes.tolist()[1:]:
-        x = smallest_generator(N, prime_factors(N - 1, sieve))
+    for N in sieve.tolist()[1:]:
+        x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             cls = class_index_table(N, m, x)
             assert cls.itemsize == (1 if m <= 128 else 2), (N, m)
@@ -153,8 +152,8 @@ def test_class_table_and_pair_matrix_in_small_blocks(monkeypatch):
     # tables and matrices of a single block
     sieve = sieve_primes(400)
     cases = []
-    for N in sieve.primes.tolist()[1:]:
-        x = smallest_generator(N, prime_factors(N - 1, sieve))
+    for N in sieve.tolist()[1:]:
+        x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             h = class_index_table(N, m, x)
             cases.append((N, m, x, h, pair_sum_class_matrix(h, m)))
@@ -185,9 +184,8 @@ def test_class_columns_are_the_classes_and_reject_non_generators():
 
 def test_pair_matrix_matches_definition():
     sieve = sieve_primes(2000)
-    for N in sieve.primes.tolist()[1:]:
-        fs = prime_factors(N - 1, sieve)
-        x = smallest_generator(N, fs)
+    for N in sieve.tolist()[1:]:
+        x = smallest_generator(N)
         log = reference_logs(N, x)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             T = pair_sum_class_matrix(class_index_table(N, m, x), m)
@@ -231,8 +229,8 @@ def test_sum_free_scan_is_least_walk_violation_to_2000():
     # with no budget the scan covers every a, so it must find the least
     # violation of the walk and mask, or report none when X_0 is sum-free
     sieve = sieve_primes(2000)
-    for N in sieve.primes.tolist()[1:]:
-        x = smallest_generator(N, prime_factors(N - 1, sieve))
+    for N in sieve.tolist()[1:]:
+        x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             assert classcount._sum_free_scan(N, m, N) == least_violation(N, m, x), (N, m)
 

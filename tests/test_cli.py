@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ramsey_forge
+from ramsey_forge import cli
+from ramsey_forge.catalog import RowVerification, export_coloring
 from ramsey_forge.cli import (
     SCAN_CSV_HEADER,
     SEARCH_CSV_HEADER,
@@ -18,6 +20,8 @@ from ramsey_forge.cli import (
     _resolve_workers,
     main,
 )
+from ramsey_forge.oracle import ScanRecord
+from ramsey_forge.partition import build_partition
 from ramsey_forge.search import CandidateFailure
 
 
@@ -271,6 +275,39 @@ def test_sweep_failures_file_is_replaced_whole(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["failures.jsonl"]
 
 
+@pytest.mark.parametrize(
+    "argv,record",
+    [
+        (("verify", "--m", "2..6", "--format", "json", "-q"), RowVerification),
+        (("scan", "--nmax", "60", "--format", "json"), ScanRecord),
+    ],
+)
+def test_out_file_is_replaced_whole(tmp_path, capsys, monkeypatch, argv, record):
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b'{"old":"doc"}\n')
+    to_dict = record.to_dict
+    calls = []
+
+    def fail_on_third(self):
+        calls.append(self)
+        if len(calls) == 3:
+            raise RuntimeError("disk full")
+        return to_dict(self)
+
+    monkeypatch.setattr(record, "to_dict", fail_on_third)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run_cli(capsys, *argv, "--out", str(path))
+    assert len(calls) == 3
+    assert path.read_bytes() == b'{"old":"doc"}\n'
+    assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert all("old" not in json.loads(ln) for ln in path.read_text().splitlines())
+    assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
 def test_sweep_default_bound_m13(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--m", "13", "-q")
     assert code == 0
@@ -357,6 +394,22 @@ def test_export_rejects_bad_triple(capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+def test_export_refuses_large_modulus_before_building(capsys, monkeypatch):
+    # the coloring lists all N(N - 1)/2 edges, so memory grows with N^2
+    with pytest.raises(ValueError, match="export limited to N <= 2000, got 2441"):
+        export_coloring(build_partition(2441, 20, 6), "json")
+
+    def unreachable(*args):
+        raise AssertionError("partition built for a refused export")
+
+    monkeypatch.setattr(cli, "build_partition", unreachable)
+    code, out, err = run_cli(
+        capsys, "export", "--m", "20", "--N", "2441", "--x", "6", "--format", "dot"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: export limited to N <= 2000, got 2441")
 
 
 def test_scan_csv(capsys):

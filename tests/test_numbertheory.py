@@ -1,9 +1,7 @@
 import pytest
 
 from ramsey_forge.numbertheory import (
-    FactorSet,
     is_generator,
-    mod_pow,
     prime_factors,
     sieve_primes,
     smallest_generator,
@@ -24,7 +22,7 @@ def naive_is_prime(n: int) -> bool:
 
 def test_sieve_small():
     s = sieve_primes(10)
-    assert s.primes.tolist() == [2, 3, 5, 7]
+    assert s.tolist() == [2, 3, 5, 7]
     assert 5 in s
     assert 9 not in s
     assert 0 not in s and 1 not in s
@@ -35,16 +33,10 @@ def test_sieve_rejects_tiny_bound():
         sieve_primes(1)
 
 
-def test_sieve_rejects_out_of_range_query():
-    s = sieve_primes(10)
-    with pytest.raises(ValueError):
-        11 in s
-
-
 def test_sieve_matches_trial_division_to_2000():
-    s = sieve_primes(2000)
+    is_prime = set(sieve_primes(2000).tolist())
     for n in range(2001):
-        assert bool(s.is_prime[n]) == naive_is_prime(n), n
+        assert (n in is_prime) == naive_is_prime(n), n
 
 
 def test_sieve_default_bound_edge():
@@ -53,13 +45,13 @@ def test_sieve_default_bound_edge():
     assert naive_is_prime(1999993)
     assert all(not naive_is_prime(n) for n in range(1999994, 2000001))
     s = sieve_primes(2_000_000)
-    assert int(s.primes[-1]) == 1999993
+    assert int(s[-1]) == 1999993
 
 
 def test_sieve_is_readonly():
     s = sieve_primes(100)
     with pytest.raises(ValueError):
-        s.is_prime[4] = True
+        s[0] = 4
 
 
 @pytest.mark.parametrize(
@@ -67,59 +59,39 @@ def test_sieve_is_readonly():
     [(2, (2,)), (4, (2,)), (12, (2, 3)), (40, (2, 5)), (97, (97,)), (96, (2, 3))],
 )
 def test_prime_factors_examples(n, expected):
-    s = sieve_primes(100)
-    assert prime_factors(n, s) == FactorSet(n, expected)
+    assert prime_factors(n) == expected
 
 
 def test_prime_factors_rejects_small():
-    s = sieve_primes(100)
     for n in (-5, 0, 1):
         with pytest.raises(ValueError):
-            prime_factors(n, s)
+            prime_factors(n)
 
 
-def test_prime_factors_rejects_undersized_sieve():
-    # 101 * 103: both factors exceed the sieve, trial division cannot finish
-    with pytest.raises(ValueError):
-        prime_factors(101 * 103, sieve_primes(10))
+def test_prime_factors_at_the_edge_of_the_factor_base():
+    # the base holds the primes up to isqrt(2^31) = 46340, the largest
+    # being 46337; past 2^31 a leftover need no longer be prime
+    assert naive_is_prime(46337) and not any(map(naive_is_prime, range(46338, 46341)))
+    assert prime_factors(46337**2) == (46337,)
+    assert naive_is_prime(2**31 - 1)
+    assert prime_factors(2**31 - 1) == (2**31 - 1,)
+    assert prime_factors(2**31) == (2,)
+    for n in (1, 2**31 + 1):
+        with pytest.raises(ValueError, match=r"need 2 <= n <= 2\^31"):
+            prime_factors(n)
+    assert smallest_generator(2**31 - 1) == 7
 
 
 def test_prime_factors_reconstructs_every_n_to_100000():
-    s = sieve_primes(400)
     for n in range(2, 100_001):
-        fs = prime_factors(n, s)
-        assert fs.distinct_primes == tuple(sorted(fs.distinct_primes))
+        fs = prime_factors(n)
+        assert fs == tuple(sorted(fs))
         rebuilt = n
-        for p in fs.distinct_primes:
+        for p in fs:
             assert rebuilt % p == 0
             while rebuilt % p == 0:
                 rebuilt //= p
         assert rebuilt == 1, n
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 6, 13) == 12
-    assert mod_pow(2, 0, 13) == 1
-    assert mod_pow(0, 0, 7) == 1
-    assert mod_pow(5, 1, 5) == 0
-
-
-def test_mod_pow_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
-
-
-def test_mod_pow_agrees_with_repeated_multiplication():
-    for N in range(2, 101):
-        for base in range(N):
-            acc = 1 % N
-            for exp in range(51):
-                assert mod_pow(base, exp, N) == acc, (base, exp, N)
-                acc = acc * base % N
 
 
 @pytest.mark.parametrize("N,x", [(5, 2), (7, 3), (13, 2), (41, 6), (71, 7), (97, 5)])
@@ -131,35 +103,22 @@ def test_smallest_generator_trivial_modulus():
     assert smallest_generator(2) == 1
 
 
-def test_smallest_generator_checks_factorization_target():
-    s = sieve_primes(100)
-    wrong = prime_factors(10, s)
-    with pytest.raises(ValueError):
-        smallest_generator(13, wrong)
-    with pytest.raises(ValueError):
-        is_generator(2, 13, wrong)
-
-
 def test_is_generator_matches_order_computation():
-    s = sieve_primes(200)
     for N in (5, 7, 11, 13, 17, 19, 23):
-        fs = prime_factors(N - 1, s)
         for x in range(1, N):
             order = 1
             t = x % N
             while t != 1:
                 t = t * x % N
                 order += 1
-            assert is_generator(x, N, fs) == (order == N - 1), (N, x)
+            assert is_generator(x, N) == (order == N - 1), (N, x)
 
 
 def test_smallest_generator_generates_full_cycle_all_primes_to_10000():
-    s = sieve_primes(10_000)
-    for N in s.primes.tolist():
+    for N in sieve_primes(10_000).tolist():
         if N == 2:
             continue
-        fs = prime_factors(N - 1, s)
-        x = smallest_generator(N, fs)
+        x = smallest_generator(N)
         seen = set()
         t = 1
         for _ in range(N - 1):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramsey_forge import oracle
 from ramsey_forge.checker import check_candidate, full_fast_check
-from ramsey_forge.numbertheory import is_generator, prime_factors, sieve_primes
+from ramsey_forge.numbertheory import is_generator, sieve_primes
 from ramsey_forge.oracle import (
     LabeledPartition,
     Relation,
@@ -269,13 +269,12 @@ _SIEVE = sieve_primes(600)
 
 
 def _generators(N):
-    factors = prime_factors(N - 1, _SIEVE)
-    return [g for g in range(2, N) if is_generator(g, N, factors)]
+    return [g for g in range(2, N) if is_generator(g, N)]
 
 
 _PROPERTY_CASES = [
     (N, m)
-    for N in _SIEVE.primes.tolist()
+    for N in _SIEVE.tolist()
     if N >= 5
     for m in range(2, N)
     if (N - 1) % (2 * m) == 0

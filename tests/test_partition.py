@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ramsey_forge.classcount import class_zero
-from ramsey_forge.numbertheory import is_generator, prime_factors, sieve_primes
+from ramsey_forge.numbertheory import is_generator, sieve_primes
 from ramsey_forge.partition import build_partition, _build_partition_unchecked
 
 
@@ -94,11 +94,10 @@ def test_class_zero_is_generator_independent_all_primes_to_500():
     # the m-th powers form the unique subgroup of index m, so every
     # generator produces the same class zero
     sieve = sieve_primes(500)
-    for N in sieve.primes.tolist():
+    for N in sieve.tolist():
         if N < 3:
             continue
-        fs = prime_factors(N - 1, sieve)
-        gens = [x for x in range(2, N) if is_generator(x, N, fs)]
+        gens = [x for x in range(2, N) if is_generator(x, N)]
         for m in range(1, N):
             if (N - 1) % m != 0:
                 continue
@@ -110,11 +109,10 @@ def test_class_zero_is_generator_independent_all_primes_to_500():
 def test_partitions_tile_for_all_valid_m_to_500():
     sieve = sieve_primes(500)
     universe = {}
-    for N in sieve.primes.tolist():
+    for N in sieve.tolist():
         if N < 5:
             continue
-        fs = prime_factors(N - 1, sieve)
-        x = next(g for g in range(2, N) if is_generator(g, N, fs))
+        x = next(g for g in range(2, N) if is_generator(g, N))
         for m in range(1, N):
             if (N - 1) % (2 * m) != 0:
                 continue
