@@ -25,7 +25,8 @@ both in X_0, that is both with z^k = 1.  The sum-free test scans
 a = 2, 3, ... for the least such a (`_sum_free_scan`); about one a in
 m^2 qualifies, so when k is large against m^2 the scan settles nearly
 every candidate long before a walk of class 0 would.  A candidate the
-scan leaves open walks class 0 and masks it (`sum_free_violations`).
+scan leaves open walks class 0 and sorts it: the same a is the first
+element of sorted X_0 that follows its predecessor by exactly one.
 
 T holds the cyclotomic numbers of order m.  With k even, Gauss's
 relations (i, j) = (j, i) = (-i, j - i) give T[d][d] = T[0][-d mod m]
@@ -57,9 +58,12 @@ from .report import CheckReport, Witness
 # of int64.  Their working set is then the same at every N, so the
 # process peak does not hinge on where the allocator put earlier arrays.
 BLOCK = 1 << 16
-# The sum-free scan gives up past k / SCAN_SHARE residues: the walk and
-# mask of class 0 cost about as much as scanning k / 4 (2-core Xeon,
-# numpy 2.4: 190 us at k = 6,254 against 140 us for 1,024 residues).
+# The sum-free scan gives up past k / SCAN_SHARE residues.  Walking and
+# sorting class 0 costs about as much as scanning k/6 to k/8 (2-core
+# Xeon, numpy 2.4, N = 2,400,001: 0.09 ms at k = 6,250 against 0.11 ms
+# for k/6 and 0.10 ms for k/8; 0.79 ms at k = 50,000 against 0.66 ms for
+# k/6; 4.8 ms at k = 300,000 against 5.3 ms for k/6 and 3.8 ms for k/8),
+# but the m = 8 and m = 13 sweeps ran no faster with k/6 than with k/4.
 SCAN_SHARE = 4
 
 
@@ -110,17 +114,6 @@ def class_zero(N: int, m: int, x: int) -> np.ndarray:
     """
     _require_generator(N, m, x)
     return power_walk(pow(x, m, N), (N - 1) // m, N)
-
-
-def sum_free_violations(X: np.ndarray, N: int) -> np.ndarray:
-    """The a in the subgroup X_0 with 1 - a also in X_0, in walk order.
-
-    Empty iff X_0 is sum-free: a + b = c inside X_0 divides through by
-    c to 1 = a/c + b/c, with both parts still in the subgroup.
-    """
-    mask = np.zeros(N, dtype=bool)
-    mask[X] = True
-    return X[mask[(1 - X) % N]]
 
 
 def class_columns(N: int, m: int, x: int) -> np.ndarray:
@@ -218,8 +211,9 @@ class PowerCharacter:
         return self._order[np.searchsorted(self._roots, _power_mod(z, self.k, self.N))]
 
     def row_zero(self, X: np.ndarray) -> np.ndarray:
-        """Row 0 of T: the classes of 1 - a over the class-0 walk X
-        (which starts at 1) past its first element."""
+        """Row 0 of T: the classes of 1 - a over class 0, given as X in
+        walk or ascending order (either starts at 1), past its first
+        element."""
         return np.bincount(self.classes((1 - X[1:]) % self.N), minlength=self.m)
 
     def first_in(self, classes: np.ndarray) -> int:
@@ -239,9 +233,10 @@ class PowerCharacter:
 
 def _sum_free_scan(N: int, m: int, budget: int) -> int | None:
     """The least a >= 2 with a - 1 and a both in X_0 (z^k = 1), or None
-    if the chunks that fit in `budget` residues hold none.  With k even it
-    is the least element of `sum_free_violations`.  z runs in doubling
-    chunks that overlap by one, so one power per z serves a - 1 and a.
+    if the chunks that fit in `budget` residues hold none.  With k even,
+    -1 is in X_0, so it is also the least a in X_0 with 1 - a in X_0.
+    z runs in doubling chunks that overlap by one, so one power per z
+    serves a - 1 and a.
     """
     k = (N - 1) // m
     lo, size = 1, max(64, m * m)
@@ -263,9 +258,11 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     Same flag order, short-circuiting, and witness conventions as the
     bit-mask reference the tests hold it to.  Symmetry is the parity of
     k.  The sum-free witness comes from `_sum_free_scan`; a candidate it
-    leaves open walks class 0, which decides sum-freeness and gives row
-    0 of T for the cyclic basis.  Only a candidate that passes all three
-    builds the half class table and the full matrix, for the triangle.
+    leaves open walks class 0 and sorts it once.  Two consecutive
+    elements of sorted X_0 are the witness's a - 1 and a, and sorted X_0
+    gives row 0 of T for the cyclic basis.  Only a candidate that passes
+    all three builds the half class table and the full matrix, for the
+    triangle.
     """
     _require_generator(N, m, x)
     k = (N - 1) // m
@@ -278,8 +275,9 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     a = _sum_free_scan(N, m, k // SCAN_SHARE)
     if a is None:
         X = power_walk(pow(x, m, N), k, N)
-        bad = sum_free_violations(X, N)
-        a = int(bad.min()) if bad.size else None
+        X.sort()
+        step = np.flatnonzero(np.diff(X) == 1)
+        a = int(X[step[0] + 1]) if step.size else None
     if a is not None:
         return CheckReport(True, False, None, None, Witness("sum_free", (0, 0), a))
 

@@ -347,16 +347,6 @@ def search_all(
     return out
 
 
-def records_to_csv(records: Iterable[SearchRecord]) -> str:
-    lines = [SEARCH_CSV_HEADER]
-    lines.extend(r.to_csv_row() for r in records)
-    return "\n".join(lines) + "\n"
-
-
-def records_to_jsonl(records: Iterable[SearchRecord]) -> str:
-    return "".join(json.dumps(r.to_dict(), separators=(",", ":")) + "\n" for r in records)
-
-
 def records_from_csv(text: str) -> list[SearchRecord]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

@@ -22,6 +22,8 @@ sum_free -> cyclic_basis -> triangle and stop at the first failure.
 numpy reference for the engine's folded half table: an N-long table
 scattered from the library's `class_columns` walk, and every pair
 (a, 1 - a) tallied off the reversed table.
+`least_sum_free_violation` finds the engine's sum_free witness from
+the definition, with builtin `pow` alone.
 """
 
 from __future__ import annotations
@@ -295,3 +297,16 @@ def full_pair_sum_class_matrix(cls: np.ndarray, m: int) -> np.ndarray:
     codes *= m
     codes += cls[:1:-1]
     return np.bincount(codes, minlength=m * m).reshape(m, m)
+
+
+def least_sum_free_violation(N: int, m: int) -> int | None:
+    """The least a >= 2 with a and 1 - a both m-th power residues mod
+    the prime N, that is a^k = (1 - a)^k = 1 with k = (N - 1) / m, or
+    None if there is none.  With k even this is the least sum_free
+    witness of class 0.  Builtin pow only.
+    """
+    k = (N - 1) // m
+    for a in range(2, N):
+        if pow(a, k, N) == 1 and pow(1 - a, k, N) == 1:
+            return a
+    return None

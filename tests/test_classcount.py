@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,12 +14,15 @@ from ramsey_forge.classcount import (
     counting_report,
     pair_sum_class_matrix,
     power_walk,
-    sum_free_violations,
 )
 from ramsey_forge.numbertheory import sieve_primes, smallest_generator
 from ramsey_forge.partition import build_partition, _build_partition_unchecked
 from ramsey_forge.search import candidate_primes
-from reference import full_class_index_table, full_pair_sum_class_matrix
+from reference import (
+    full_class_index_table,
+    full_pair_sum_class_matrix,
+    least_sum_free_violation,
+)
 
 
 def reference_logs(N, x):
@@ -220,19 +224,26 @@ def test_pair_matrix_row_sums_and_symmetry():
         assert all(int(s) == k for s in sums[1:])
 
 
-def least_violation(N, m, x):
-    bad = sum_free_violations(class_zero(N, m, x), N)
-    return int(bad.min()) if bad.size else None
-
-
-def test_sum_free_scan_is_least_walk_violation_to_2000():
+def test_sum_free_scan_is_least_walk_violation_to_2000(monkeypatch):
     # with no budget the scan covers every a, so it must find the least
-    # violation of the walk and mask, or report none when X_0 is sum-free
+    # violation, or report none when X_0 is sum-free; with the scan made
+    # to give up, the walk of class 0 must find the same
     sieve = sieve_primes(2000)
+    cases = []
     for N in sieve.tolist()[1:]:
         x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
-            assert classcount._sum_free_scan(N, m, N) == least_violation(N, m, x), (N, m)
+            a = least_sum_free_violation(N, m)
+            assert classcount._sum_free_scan(N, m, N) == a, (N, m)
+            cases.append((N, m, x, a))
+    monkeypatch.setattr(classcount, "_sum_free_scan", lambda *args: None)
+    for N, m, x, a in cases:
+        rep = counting_report(N, m, x)
+        if a is None:
+            assert rep.sum_free, (N, m)
+        else:
+            assert rep.flags() == (True, False, None, None), (N, m)
+            assert rep.witness.residue == a, (N, m)
 
 
 def test_scanned_witness_is_least_walk_violation_near_2_5m(monkeypatch):
@@ -247,11 +258,30 @@ def test_scanned_witness_is_least_walk_violation_near_2_5m(monkeypatch):
         for m in (8, 13):
             for N in candidate_primes(m, 2_400_000, 2_500_000):
                 x = smallest_generator(N)
-                reports[N, m, x] = counting_report(N, m, x)
+                reports[N, m] = counting_report(N, m, x)
     assert len(reports) == 814 + 540
-    for (N, m, x), rep in reports.items():
+    for (N, m), rep in reports.items():
         assert rep.witness.condition == "sum_free", (N, m)
-        assert rep.witness.residue == least_violation(N, m, x), (N, m)
+        assert rep.witness.residue == least_sum_free_violation(N, m), (N, m)
+
+
+def test_walked_sum_free_failure_allocates_far_below_n():
+    # k < 4 m^2 at m = 300, so these candidates walk class 0; the walk
+    # and its sort hold a few k int64, not an N-byte mask
+    failures = []
+    for N in candidate_primes(300, 2_300_000, 2_400_000):
+        x = smallest_generator(N)
+        if counting_report(N, 300, x).witness.condition == "sum_free":
+            failures.append((N, x))
+    assert len(failures) >= 5
+    for N, x in failures[:5]:
+        tracemalloc.start()
+        try:
+            counting_report(N, 300, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N // 4, (N, peak)
 
 
 def test_counting_report_worked_examples():

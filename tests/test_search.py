@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from collections import Counter
 
@@ -9,6 +10,7 @@ from ramsey_forge import search as search_mod
 from ramsey_forge.classcount import MAX_COUNTING_MODULUS
 from ramsey_forge.numbertheory import sieve_primes
 from ramsey_forge.search import (
+    SEARCH_CSV_HEADER,
     SearchRecord,
     candidate_primes,
     check_bound,
@@ -16,8 +18,6 @@ from ramsey_forge.search import (
     ramsey_recursive_bound,
     records_from_csv,
     records_from_jsonl,
-    records_to_csv,
-    records_to_jsonl,
     search_all,
     search_min_modulus,
     sweep_nonexistence,
@@ -291,6 +291,16 @@ _RECORDS = st.builds(
     # serialized timings carry three decimals
     elapsed_ms=st.integers(0, 10**12).map(lambda n: n / 1000),
 )
+
+
+def records_to_csv(records):
+    # the text `search --format csv` writes: the header, then a line per record
+    return "".join(line + "\n" for line in [SEARCH_CSV_HEADER, *(r.to_csv_row() for r in records)])
+
+
+def records_to_jsonl(records):
+    # the text `search --format json` writes: one compact object per line
+    return "".join(json.dumps(r.to_dict(), separators=(",", ":")) + "\n" for r in records)
 
 
 def test_record_round_trips(sieve):
