@@ -31,12 +31,16 @@ element of sorted X_0 that follows its predecessor by exactly one.
 T holds the cyclotomic numbers of order m.  With k even, Gauss's
 relations (i, j) = (j, i) = (-i, j - i) give T[d][d] = T[0][-d mod m]
 (Storer, Cyclotomy and Difference Sets, 1967), so row 0 decides the
-cyclic basis, and `PowerCharacter` reads row 0 off that walk in
-O(k log N) without a table.  Only the few candidates that pass the
-first three conditions build a class table and the full matrix, for
-the triangle condition; -1 in X_0 lets both read only half the group
-(see `class_index_table`), and both run over it in blocks of `BLOCK`
-residues, so neither allocates an O(N) int64 array.
+cyclic basis.  Row 0 needs no class numbers: z lies in class j iff
+z^k = (x^k)^j, so row 0 reaches as many classes as there are distinct
+characters (1 - a)^k over X_0 \\ {1}.  A sum-free X_0 is a cyclic basis
+iff they take all m - 1 values other than 1, which costs O(k log N) on
+the walk and no table.  Only the few candidates that pass the first
+three conditions build a class table and the full matrix, for the
+triangle condition, whose witness is read off that table; -1 in X_0
+lets both read only half the group (see `class_index_table`), and both
+run over it in blocks of `BLOCK` residues, so neither allocates an
+O(N) int64 array.
 
 Every class-0 walk and the first block of the class table come from
 one kernel, `power_walk`, which lists g^0..g^(n-1) mod N by doubling:
@@ -48,6 +52,8 @@ int64 is exact; the kernel refuses larger moduli.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -191,44 +197,17 @@ def _power_mod(z: np.ndarray, e: int, N: int) -> np.ndarray:
     return out
 
 
-class PowerCharacter:
-    """Class indices without the table: z = x^e has class e mod m, and
-    its m-th power character z^k = zeta^(e mod m) for zeta = x^k, so the
-    class is the position of z^k among zeta^0..zeta^(m-1).
-
-    x must generate the group (see `_require_generator`), which makes
-    those m powers distinct.
-    """
-
-    def __init__(self, N: int, m: int, x: int):
-        self.N, self.m, self.k = N, m, (N - 1) // m
-        roots = power_walk(pow(x, self.k, N), m, N)
-        self._order = np.argsort(roots)
-        self._roots = roots[self._order]
-
-    def classes(self, z: np.ndarray) -> np.ndarray:
-        """Class index of each nonzero residue in the int64 array z."""
-        return self._order[np.searchsorted(self._roots, _power_mod(z, self.k, self.N))]
-
-    def row_zero(self, X: np.ndarray) -> np.ndarray:
-        """Row 0 of T: the classes of 1 - a over class 0, given as X in
-        walk or ascending order (either starts at 1), past its first
-        element."""
-        return np.bincount(self.classes((1 - X[1:]) % self.N), minlength=self.m)
-
-    def first_in(self, classes: np.ndarray) -> int:
-        """The smallest z >= 1 in one of `classes`, scanned in doubling
-        chunks; about m / len(classes) trials are needed."""
-        wanted = np.zeros(self.m, dtype=bool)
-        wanted[classes] = True
-        lo, size = 1, 64
-        while lo < self.N:
-            z = np.arange(lo, min(lo + size, self.N), dtype=np.int64)
-            hit = np.flatnonzero(wanted[self.classes(z)])
-            if hit.size:
-                return int(z[hit[0]])
-            lo, size = lo + size, 2 * size
-        raise AssertionError("witness class unexpectedly empty")
+def _first_hit(N: int, hit: Callable[[np.ndarray], np.ndarray]) -> int:
+    """The least z in 1..N-1 with hit(z), hit being applied elementwise
+    to int64 residues in doubling chunks."""
+    lo, size = 1, 64
+    while lo < N:
+        z = np.arange(lo, min(lo + size, N), dtype=np.int64)
+        found = np.flatnonzero(hit(z))
+        if found.size:
+            return lo + int(found[0])
+        lo, size = lo + size, 2 * size
+    raise AssertionError("witness class unexpectedly empty")
 
 
 def _sum_free_scan(N: int, m: int, budget: int) -> int | None:
@@ -259,10 +238,12 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     bit-mask reference the tests hold it to.  Symmetry is the parity of
     k.  The sum-free witness comes from `_sum_free_scan`; a candidate it
     leaves open walks class 0 and sorts it once.  Two consecutive
-    elements of sorted X_0 are the witness's a - 1 and a, and sorted X_0
-    gives row 0 of T for the cyclic basis.  Only a candidate that passes
-    all three builds the half class table and the full matrix, for the
-    triangle.
+    elements of sorted X_0 are the witness's a - 1 and a.  The cyclic
+    basis counts the distinct characters (1 - a)^k over X_0 \\ {1}; its
+    witness is the least z whose z^k is neither 1 nor one of them.  Only
+    a candidate that passes all three builds the half class table and
+    the full matrix, for the triangle, and its witness is the least z
+    whose class, read off that table, X_0 + X_i misses.
     """
     _require_generator(N, m, x)
     k = (N - 1) // m
@@ -281,24 +262,38 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     if a is not None:
         return CheckReport(True, False, None, None, Witness("sum_free", (0, 0), a))
 
-    char = PowerCharacter(N, m, x)
+    # z lies in class j iff z^k = (x^k)^j, so the classes that row 0 of T
+    # reaches, T[0][j] = #{a in X_0 \ {1} : 1 - a in X_j}, are those of
+    # the distinct characters (1 - a)^k; X_0 being sum-free, none is 1.
     # z of class j is missed by X_0 + X_0 exactly when T[d][d] vanishes
     # for d = -j mod m, and T[d][d] = T[0][j].
-    missed = np.flatnonzero(char.row_zero(X)[1:] == 0) + 1
-    if missed.size:
-        w = Witness("cyclic_basis", (0,), char.first_in(missed))
+    reached = _power_mod(N + 1 - X[1:], k, N)
+    reached.sort()
+    reached = reached[np.diff(reached, prepend=0) != 0]
+    if reached.size < m - 1:
+        def missed(z):
+            zk = _power_mod(z, k, N)
+            i = np.minimum(np.searchsorted(reached, zk), reached.size - 1)
+            return (zk != 1) & (reached[i] != zk)
+
+        w = Witness("cyclic_basis", (0,), _first_hit(N, missed))
         return CheckReport(True, True, False, None, w)
 
-    if m > 1:
-        T = pair_sum_class_matrix(class_index_table(N, m, x), m)
-        # gap[p, i]: T[p][p + i] vanishes, so X_0 + X_i misses class -p
-        p = np.arange(m)
-        gap = T[p[:, None], (p[:, None] + p) % m] == 0
-        pairs = np.flatnonzero(gap[:, 1:].any(axis=0)) + 1
-        if pairs.size:
-            i = int(pairs[0])
-            z = char.first_in((m - np.flatnonzero(gap[:, i])) % m)
-            w = Witness("triangle", (0, i), z)
-            return CheckReport(True, True, True, False, w)
+    # m = 1 never gets here: X_0 is then the whole group and fails
+    # sum_free at a = 2.
+    h = class_index_table(N, m, x)
+    T = pair_sum_class_matrix(h, m)
+    # gap[p, i]: T[p][p + i] vanishes, so X_0 + X_i misses class -p
+    p = np.arange(m)
+    q = p[:, None] + p
+    q %= m
+    gap = (T == 0)[p[:, None], q]
+    pairs = np.flatnonzero(gap[:, 1:].any(axis=0)) + 1
+    if pairs.size:
+        i = int(pairs[0])
+        wanted = np.zeros(m, dtype=bool)
+        wanted[(m - np.flatnonzero(gap[:, i])) % m] = True
+        z = _first_hit(N, lambda z: wanted[h[np.minimum(z, N - z)]])
+        return CheckReport(True, True, True, False, Witness("triangle", (0, i), z))
 
     return CheckReport.all_passed()

@@ -310,3 +310,15 @@ def least_sum_free_violation(N: int, m: int) -> int | None:
         if pow(a, k, N) == 1 and pow(1 - a, k, N) == 1:
             return a
     return None
+
+
+def least_cyclic_basis_miss(N: int, m: int, x: int) -> int | None:
+    """The least z >= 1 in neither X_0 nor X_0 + X_0, X_0 being the
+    powers x^(jm) mod N, or None if every z is covered.  Builtin pow
+    only.
+    """
+    X0 = {pow(x, j * m, N) for j in range((N - 1) // m)}
+    for z in range(1, N):
+        if z not in X0 and all((z - a) % N not in X0 for a in X0):
+            return z
+    return None

@@ -7,7 +7,6 @@ import pytest
 from ramsey_forge import classcount
 from ramsey_forge.catalog import load_catalog
 from ramsey_forge.classcount import (
-    PowerCharacter,
     class_columns,
     class_index_table,
     class_zero,
@@ -21,6 +20,7 @@ from ramsey_forge.search import candidate_primes
 from reference import (
     full_class_index_table,
     full_pair_sum_class_matrix,
+    least_cyclic_basis_miss,
     least_sum_free_violation,
 )
 
@@ -110,31 +110,54 @@ def test_kernel_matches_power_residue_definition_to_2000():
 
 
 def test_character_row_is_row_zero_of_pair_matrix_to_2000():
-    # Row 0 from the m-th power character must equal row 0 of the full
-    # matrix, and with k even the diagonal must read T[d][d] = T[0][-d],
-    # which is what lets row 0 alone decide the cyclic basis.
+    # z lies in class j iff z^k = (x^k)^j, so the distinct characters
+    # (1 - a)^k over X_0 \ {1} are the classes that row 0 of the full
+    # matrix reaches.  With k even the diagonal reads T[d][d] = T[0][-d],
+    # which is what lets row 0 alone decide the cyclic basis: class j is
+    # missed by X_0 + X_0 exactly when T[0][j] = 0.
     sieve = sieve_primes(2000)
     for N in sieve.tolist()[1:]:
         x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
-            cls = class_index_table(N, m, x)
-            assert cls.itemsize == (1 if m <= 128 else 2), (N, m)
-            T = pair_sum_class_matrix(cls, m)
-            row = PowerCharacter(N, m, x).row_zero(class_zero(N, m, x))
-            assert row.tolist() == T[0].tolist(), (N, m)
+            k = (N - 1) // m
+            h = class_index_table(N, m, x)
+            assert h.itemsize == (1 if m <= 128 else 2), (N, m)
+            T = pair_sum_class_matrix(h, m)
+            chars = {pow(1 - a, k, N) for a in class_zero(N, m, x).tolist()[1:]}
+            assert len(chars) == np.count_nonzero(T[0]), (N, m)
+            assert (1 in chars) == (T[0][0] > 0), (N, m)
             for d in range(m):
                 assert T[d][d] == T[0][-d % m], (N, m, d)
+            if T[0][0]:
+                continue
+            rep = counting_report(N, m, x)
+            assert rep.cyclic_basis == all(T[0][1:] > 0), (N, m)
+            if not rep.cyclic_basis:
+                cls = [h[min(z, N - z)] for z in range(1, N)]
+                z = 1 + next(i for i, j in enumerate(cls) if j and T[0][j] == 0)
+                assert rep.witness.residue == z, (N, m)
 
 
-def test_character_classes_and_first_in():
-    N, m, x = 2441, 20, 6
-    z = np.arange(1, N, dtype=np.int64)
-    cls = class_index_table(N, m, x)[np.minimum(z, N - z)]
-    char = PowerCharacter(N, m, x)
-    assert char.classes(z).tolist() == cls.tolist()
-    for targets in ([0], [7], [3, 19], list(range(1, m))):
-        first = int(z[np.isin(cls, targets)][0])
-        assert char.first_in(np.array(targets)) == first, targets
+def test_witnesses_past_the_first_chunk_at_large_n():
+    # every witness lies past the first 64 residues the engine tries, at
+    # moduli far above the exhaustive tests; the expected values come
+    # from the reference alone
+    for N, m in [(772367, 301), (968801, 346), (164321, 130)]:
+        x = smallest_generator(N)
+        cls = full_class_index_table(N, m, x).astype(np.int64)
+        T = full_pair_sum_class_matrix(cls, m)
+        # z of class j lies outside X_0 + X_i iff T[-j][i - j] = 0
+        j = np.arange(m)
+        i = next(i for i in range(1, m) if (T[-j % m, (i - j) % m] == 0).any())
+        z = next(z for z in range(1, N) if T[-cls[z] % m, (i - cls[z]) % m] == 0)
+        rep = counting_report(N, m, x)
+        assert rep.flags() == (True, True, True, False), (N, m)
+        assert (rep.witness.classes, rep.witness.residue) == ((0, i), z), (N, m)
+    for N, m in [(1832393, 398), (367027, 201)]:
+        x = smallest_generator(N)
+        rep = counting_report(N, m, x)
+        assert rep.flags() == (True, True, False, None), (N, m)
+        assert rep.witness.residue == least_cyclic_basis_miss(N, m, x), (N, m)
 
 
 def test_class_table_rejects_non_generator():
