@@ -113,15 +113,6 @@ def _require_generator(N: int, m: int, x: int) -> None:
         raise ValueError(f"x={x} is not a generator mod {N}: its order is below {N - 1}")
 
 
-def class_zero(N: int, m: int, x: int) -> np.ndarray:
-    """The order-k subgroup X_0 = {x^(jm) : 0 <= j < k}, k = (N - 1) / m,
-    in walk order (so it starts at 1).  Rejects m not dividing N - 1 and
-    any x that does not generate the group (see `_require_generator`).
-    """
-    _require_generator(N, m, x)
-    return power_walk(pow(x, m, N), (N - 1) // m, N)
-
-
 def class_columns(N: int, m: int, x: int) -> np.ndarray:
     """The walk x^0..x^(N-2) in rows of m, so column i is class i.
 

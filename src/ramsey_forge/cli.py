@@ -92,17 +92,29 @@ class _Progress:
             print(f"{self.label}: m={m} N={N} tested={tested}", file=sys.stderr)
 
 
+class _Unwritable(Exception):
+    """An output file could not be opened; `main` reports it and exits 1."""
+
+
+def _create(path: str, shown: str) -> IO[str]:
+    try:
+        return open(path, "w", encoding="ascii", newline="")
+    except OSError as e:
+        raise _Unwritable(f"cannot write {shown}: {e.strerror}") from None
+
+
 @contextmanager
 def _document(path: str | None) -> Iterator[IO[str]]:
     """Stdout, or a file that replaces `path` only once it is whole: it
     is written as PATH.<pid>.tmp and renamed into place, and an error
-    leaves the old file and no temporary behind."""
+    leaves the old file and no temporary behind.  Entered before the
+    work, it stops a command whose path cannot be written."""
     if path is None:
         yield sys.stdout
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="ascii", newline="") as f:
+        with _create(tmp, path) as f:
             yield f
         os.replace(tmp, path)
     finally:
@@ -147,9 +159,7 @@ def _cmd_search(args) -> int:
             return 1
 
     # records stream straight into --out, which --resume reads back
-    out = nullcontext(sys.stdout)
-    if args.out:
-        out = open(args.out, "w", encoding="ascii", newline="")
+    out = _create(args.out, args.out) if args.out else nullcontext(sys.stdout)
     with out as sink:
         if args.format == "csv":
             _emit(sink, SEARCH_CSV_HEADER)
@@ -180,24 +190,23 @@ def _cmd_search(args) -> int:
 
 def _cmd_sweep(args) -> int:
     progress = _Progress("sweep", args.progress_interval, args.quiet)
+    failure_log = _document(args.failures) if args.failures else nullcontext()
     try:
         workers = _resolve_workers(args.workers)
-        result = sweep_nonexistence(
-            args.m, args.bound, workers=workers, progress=progress
-        )
+        with _document(args.out) as sink, failure_log as log:
+            result = sweep_nonexistence(
+                args.m, args.bound, workers=workers, progress=progress
+            )
+            if args.format == "csv":
+                _emit(sink, SEARCH_CSV_HEADER)
+                _emit(sink, result.record.to_csv_row())
+            else:
+                _emit(sink, json.dumps(result.record.to_dict(), separators=(",", ":")))
+            if log:
+                log.writelines(fail.to_json() + "\n" for fail in result.failures)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-    with _document(args.out) as sink:
-        if args.format == "csv":
-            _emit(sink, SEARCH_CSV_HEADER)
-            _emit(sink, result.record.to_csv_row())
-        else:
-            _emit(sink, json.dumps(result.record.to_dict(), separators=(",", ":")))
-    if args.failures:
-        with _document(args.failures) as f:
-            f.writelines(fail.to_json() + "\n" for fail in result.failures)
     if not args.quiet:
         print(
             f"sweep m={args.m}: {result.record.status}, "
@@ -224,11 +233,10 @@ def _cmd_verify(args) -> int:
             print(f"error: no catalog rows with m in {lo}..{hi}", file=sys.stderr)
             return 1
     progress = _Progress("verify", args.progress_interval, args.quiet)
-    results = catalog_mod.verify_rows(
-        rows, minimality=args.minimality, progress=progress
-    )
-
     with _document(args.out) as sink:
+        results = catalog_mod.verify_rows(
+            rows, minimality=args.minimality, progress=progress
+        )
         if args.format == "csv":
             _emit(sink, VERIFY_CSV_HEADER)
             for v in results:
@@ -266,37 +274,36 @@ def _cmd_bound(args) -> int:
 
 def _cmd_export(args) -> int:
     try:
-        catalog_mod.check_export_modulus(args.N)
-        p = build_partition(args.N, args.m, args.x)
-        doc = catalog_mod.export_coloring(p, args.format)
+        with _document(args.out) as sink:
+            catalog_mod.check_export_modulus(args.N)
+            p = build_partition(args.N, args.m, args.x)
+            sink.write(catalog_mod.export_coloring(p, args.format))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    with _document(args.out) as sink:
-        sink.write(doc)
     return 0
 
 
 def _cmd_scan(args) -> int:
     try:
-        records = oracle_mod.exhaustive_small_scan(args.nmax)
+        with _document(args.out) as sink:
+            records = oracle_mod.exhaustive_small_scan(args.nmax)
+            if args.format == "csv":
+                _emit(sink, SCAN_CSV_HEADER)
+                for r in records:
+                    f = r.fast
+                    _emit(
+                        sink,
+                        f"{r.N},{r.m},{r.x},{_flag(f.symmetric)},{_flag(f.sum_free)},"
+                        f"{_flag(f.cyclic_basis)},{_flag(f.triangle)},"
+                        f"{_flag(f.overall)},{_flag(r.naive.overall)},{_flag(r.agree)}",
+                    )
+            else:
+                for r in records:
+                    _emit(sink, json.dumps(r.to_dict(), separators=(",", ":")))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    with _document(args.out) as sink:
-        if args.format == "csv":
-            _emit(sink, SCAN_CSV_HEADER)
-            for r in records:
-                f = r.fast
-                _emit(
-                    sink,
-                    f"{r.N},{r.m},{r.x},{_flag(f.symmetric)},{_flag(f.sum_free)},"
-                    f"{_flag(f.cyclic_basis)},{_flag(f.triangle)},"
-                    f"{_flag(f.overall)},{_flag(r.naive.overall)},{_flag(r.agree)}",
-                )
-        else:
-            for r in records:
-                _emit(sink, json.dumps(r.to_dict(), separators=(",", ":")))
     disagree = [r for r in records if not r.agree]
     if disagree:
         for r in disagree:
@@ -366,7 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _Unwritable as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

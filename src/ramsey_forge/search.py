@@ -18,9 +18,10 @@ for a table.  A search drops the witness of each failure, a sweep logs
 it.
 
 Two runs with the same (m, bound) produce identical records whatever
-the worker count: one loop consumes the results in candidate order,
-whether they come one at a time from this process or from blocks
-evaluated speculatively on a pool.
+the worker count: `_in_order` yields them in job order, as plain `map`
+on one worker, or from a pool that runs at most workers * 4 jobs ahead
+and cancels the rest as soon as its consumer stops.  A search's jobs are
+its color counts, a sweep's are blocks of candidates.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from contextlib import closing, nullcontext
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -192,39 +195,35 @@ def candidate_primes(m: int, lo: int, hi: int) -> list[int]:
     return (first + step * np.flatnonzero(is_prime)).tolist()
 
 
-def _evaluate_candidate(N: int, m: int) -> tuple[int, bool, str | None, Witness | None]:
-    """(x, passed, failed_check, witness) for one qualifying modulus."""
-    x = smallest_generator(N)
-    report = check_candidate(N, m, x)
-    if report.overall:
-        return x, True, None, None
-    return x, False, report.failed_condition, report.witness
-
-
 def _evaluate_block(
-    args: tuple[Sequence[int], int]
+    Ns: Sequence[int], m: int
 ) -> list[tuple[int, int, bool, str | None, Witness | None]]:
-    Ns, m = args
-    return [(N, *_evaluate_candidate(N, m)) for N in Ns]
+    """(N, x, passed, failed_check, witness) for each modulus of a block."""
+    out = []
+    for N in Ns:
+        x = smallest_generator(N)
+        report = check_candidate(N, m, x)
+        out.append((N, x, report.overall, report.failed_condition, report.witness))
+    return out
 
 
-def _pooled_results(
-    candidates: list[int], m: int, workers: int
-) -> Iterator[tuple[int, int, bool, str | None, Witness | None]]:
-    """`_evaluate_block` over blocks of candidates, run speculatively on
-    a pool but yielded strictly in candidate order.  The submission
-    window stays small so an early find, which closes this generator,
-    does not leave a long tail of queued blocks to drain."""
+def _in_order(fn: Callable, jobs: Iterable, workers: int) -> Iterator:
+    """fn(job) for each job, yielded in job order.  One worker is plain
+    `map`.  More run on a pool at most workers * 4 jobs past the one
+    being waited for; closing the generator, or an error in its
+    consumer, cancels every job that has not started."""
+    if workers <= 1:
+        yield from map(fn, jobs)
+        return
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         window: deque = deque()
-        for i in range(0, len(candidates), BLOCK_SIZE):
-            block = candidates[i : i + BLOCK_SIZE]
-            window.append(pool.submit(_evaluate_block, (block, m)))
-            if len(window) == workers * 4:
-                yield from window.popleft().result()
+        for job in jobs:
+            window.append(pool.submit(fn, job))
+            if len(window) > workers * 4:
+                yield window.popleft().result()
         while window:
-            yield from window.popleft().result()
+            yield window.popleft().result()
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -240,17 +239,22 @@ def _scan_candidates(
     t0 = time.perf_counter()
     check_bound(bound)
     candidates = candidate_primes(m, 0, bound)
-    if workers > 1 and len(candidates) > BLOCK_SIZE:
-        results = _pooled_results(candidates, m, workers)
-    else:
-        results = ((N, *_evaluate_candidate(N, m)) for N in candidates)
+    if len(candidates) <= BLOCK_SIZE:
+        workers = 1
+    size = BLOCK_SIZE if workers > 1 else 1
+    blocks = _in_order(
+        partial(_evaluate_block, m=m),
+        (candidates[i : i + size] for i in range(0, len(candidates), size)),
+        workers,
+    )
     failures: list[CandidateFailure] = []
 
     def finish(status: str, N, x, tested: int) -> SearchRecord:
         ms = (time.perf_counter() - t0) * 1000.0
         return SearchRecord(m, status, N, x, bound, tested, ms)
 
-    with closing(results):
+    with closing(blocks):
+        results = chain.from_iterable(blocks)
         for done, (N, x, passed, failed, witness) in enumerate(results, 1):
             if passed:
                 # a sweep that finds one reports it rather than keep scanning
@@ -262,21 +266,13 @@ def _scan_candidates(
     return finish("exhausted", None, None, len(candidates)), tuple(failures)
 
 
-def search_min_modulus(
-    m: int,
-    bound: int = DEFAULT_SEARCH_BOUND,
-    *,
-    workers: int = 1,
-    progress: ProgressFn | None = None,
-) -> SearchRecord:
+def search_min_modulus(m: int, bound: int = DEFAULT_SEARCH_BOUND) -> SearchRecord:
     """Least qualifying prime N <= bound whose partition passes all
     checks, or an exhausted record if none does.
     """
     if m < 2:
         raise ValueError(f"search needs m >= 2, got {m}")
-    record, _ = _scan_candidates(
-        m, bound, collect_failures=False, workers=workers, progress=progress
-    )
+    record, _ = _scan_candidates(m, bound, collect_failures=False)
     return record
 
 
@@ -299,12 +295,6 @@ def sweep_nonexistence(
         m, bound, collect_failures=True, workers=workers, progress=progress
     )
     return SweepResult(record, failures)
-
-
-def _search_job(args: tuple[int, int]) -> SearchRecord:
-    m, bound = args
-    record, _ = _scan_candidates(m, bound, collect_failures=False)
-    return record
 
 
 def search_all(
@@ -333,10 +323,12 @@ def search_all(
         for r in resume_records
         if r.bound_used == bound and m_lo <= r.m <= m_hi
     }
-    pending = [(m, bound) for m in range(m_lo, m_hi + 1) if m not in resume]
+    pending = [m for m in range(m_lo, m_hi + 1) if m not in resume]
+    computed = _in_order(
+        partial(search_min_modulus, bound=bound), pending, min(workers, len(pending))
+    )
     out: list[SearchRecord] = []
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        computed = (pool.map if workers > 1 else map)(_search_job, pending)
+    with closing(computed):
         for m in range(m_lo, m_hi + 1):
             rec = resume[m] if m in resume else next(computed)
             out.append(rec)

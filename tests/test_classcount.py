@@ -9,7 +9,6 @@ from ramsey_forge.catalog import load_catalog
 from ramsey_forge.classcount import (
     class_columns,
     class_index_table,
-    class_zero,
     counting_report,
     pair_sum_class_matrix,
     power_walk,
@@ -91,7 +90,7 @@ def test_kernel_matches_power_residue_definition_to_2000():
         for m in [d for d in range(1, N) if (N - 1) % d == 0]:
             k = (N - 1) // m
             zk = [pow(z, k, N) for z in range(N)]
-            X0 = class_zero(N, m, x).tolist()
+            X0 = class_columns(N, m, x)[:, 0].tolist()
             assert len(X0) == k and X0[0] == 1, (N, m)
             assert set(X0) == {z for z in range(1, N) if zk[z] == 1}, (N, m)
             if k % 2:
@@ -123,7 +122,7 @@ def test_character_row_is_row_zero_of_pair_matrix_to_2000():
             h = class_index_table(N, m, x)
             assert h.itemsize == (1 if m <= 128 else 2), (N, m)
             T = pair_sum_class_matrix(h, m)
-            chars = {pow(1 - a, k, N) for a in class_zero(N, m, x).tolist()[1:]}
+            chars = {pow(1 - a, k, N) for a in class_columns(N, m, x)[:, 0].tolist()[1:]}
             assert len(chars) == np.count_nonzero(T[0]), (N, m)
             assert (1 in chars) == (T[0][0] > 0), (N, m)
             for d in range(m):
@@ -197,14 +196,26 @@ def test_class_table_and_pair_matrix_in_small_blocks(monkeypatch):
 
 
 def test_class_columns_are_the_classes_and_reject_non_generators():
-    cols = class_columns(13, 3, 2)
-    assert [sorted(c) for c in cols.T.tolist()] == [[1, 5, 8, 12], [2, 3, 10, 11], [4, 6, 7, 9]]
-    # 5 has order 4 mod 13; 3 is no unit mod 9, so its walk never returns to 1
-    for N, m, x in [(13, 3, 5), (9, 2, 3), (9, 4, 2)]:
+    for N, m, x, classes in [
+        (13, 3, 2, [[1, 5, 8, 12], [2, 3, 10, 11], [4, 6, 7, 9]]),
+        (5, 2, 2, [[1, 4], [2, 3]]),
+        # m = 1 gives the whole punctured line
+        (13, 1, 2, [list(range(1, 13))]),
+    ]:
+        cols = class_columns(N, m, x)
+        assert [sorted(c) for c in cols.T.tolist()] == classes, (N, m, x)
+        # column 0 is the walk of x^m, so it starts at 1
+        assert cols[0, 0] == 1
+    # 5 has order 4 and 3 order 3 mod 13, 13 is no unit mod 13, and 3 is
+    # no unit mod 9, so its walk never returns to 1
+    for N, m, x in [(13, 3, 5), (13, 3, 3), (13, 3, 13), (9, 2, 3), (9, 4, 2)]:
         with pytest.raises(ValueError, match="not a generator"):
             class_columns(N, m, x)
         with pytest.raises(ValueError, match="not a generator"):
             build_partition(N, m, x)
+    for m in (5, 0):
+        with pytest.raises(ValueError, match=f"class count {m} does not divide 12"):
+            class_columns(13, m, 2)
     with pytest.raises(ValueError, match="class count 5 does not divide 12"):
         _build_partition_unchecked(13, 5, 2)
 

@@ -308,6 +308,31 @@ def test_out_file_is_replaced_whole(tmp_path, capsys, monkeypatch, argv, record)
     assert os.listdir(tmp_path) == ["out.jsonl"]
 
 
+@pytest.mark.parametrize(
+    "argv,owner,work",
+    [
+        (("search", "--m", "2..3", "--bound", "100", "--out"), cli, "search_all"),
+        (("sweep", "--m", "3", "--bound", "50", "--out"), cli, "sweep_nonexistence"),
+        (("sweep", "--m", "3", "--bound", "50", "--failures"), cli, "sweep_nonexistence"),
+        (("verify", "--all", "-q", "--out"), cli.catalog_mod, "verify_rows"),
+        (("scan", "--nmax", "60", "--out"), cli.oracle_mod, "exhaustive_small_scan"),
+        (("export", "--m", "2", "--N", "5", "--x", "2", "--format", "dot", "--out"),
+         cli, "build_partition"),
+    ],
+    ids=["search", "sweep-out", "sweep-failures", "verify", "scan", "export"],
+)
+def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch, argv, owner, work):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the output was opened")
+
+    monkeypatch.setattr(owner, work, unreachable)
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_sweep_default_bound_m13(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--m", "13", "-q")
     assert code == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ramsey_forge.classcount import class_zero
+from ramsey_forge.classcount import class_columns
 from ramsey_forge.numbertheory import is_generator, sieve_primes
 from ramsey_forge.partition import build_partition, _build_partition_unchecked
 
@@ -14,28 +14,6 @@ def assert_tiles(p):
         assert len(c) == p.k
         assert (np.diff(c) > 0).all()
     assert np.sort(np.concatenate(p.classes)).tolist() == list(range(1, p.N))
-
-
-def test_class_zero_worked_examples():
-    assert sorted(class_zero(5, 2, 2).tolist()) == [1, 4]
-    assert sorted(class_zero(13, 3, 2).tolist()) == [1, 5, 8, 12]
-    # m = 1 gives the whole punctured line
-    assert sorted(class_zero(13, 1, 2).tolist()) == list(range(1, 13))
-
-
-def test_class_zero_rejects_bad_divisor():
-    with pytest.raises(ValueError):
-        class_zero(13, 5, 2)
-    with pytest.raises(ValueError):
-        class_zero(13, 0, 2)
-    with pytest.raises(ValueError):
-        class_zero(13, 3, 13)
-
-
-def test_class_zero_rejects_non_generator():
-    # 3 has order 3 mod 13, its cube is 1, the walk collapses
-    with pytest.raises(ValueError):
-        class_zero(13, 3, 3)
 
 
 def test_partition_worked_example():
@@ -101,9 +79,9 @@ def test_class_zero_is_generator_independent_all_primes_to_500():
         for m in range(1, N):
             if (N - 1) % m != 0:
                 continue
-            reference = np.sort(class_zero(N, m, gens[0]))
+            reference = np.sort(class_columns(N, m, gens[0])[:, 0])
             for x in gens[1:]:
-                assert np.array_equal(np.sort(class_zero(N, m, x)), reference), (N, m, x)
+                assert np.array_equal(np.sort(class_columns(N, m, x)[:, 0]), reference), (N, m, x)
 
 
 def test_partitions_tile_for_all_valid_m_to_500():

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -220,10 +221,10 @@ def test_search_all_deterministic_across_workers(sieve):
 
 
 def test_parallel_single_m_matches_sequential():
-    # force the block path with a tiny block budget: m=8 to 20k has
-    # hundreds of candidates
-    seq = search_min_modulus(8, 20_000, workers=1)
-    par = search_min_modulus(8, 20_000, workers=2)
+    # m=8 to 20k has hundreds of candidates, so two workers take the
+    # block path
+    seq = sweep_nonexistence(8, 20_000, workers=1).record
+    par = sweep_nonexistence(8, 20_000, workers=2).record
     assert (seq.status, seq.N, seq.candidates_tested) == (
         par.status,
         par.N,
@@ -249,13 +250,17 @@ def test_search_all_resume_reuses_matching_records(sieve):
     assert all(r.bound_used == 1_000 for r in fresh)
 
 
-def test_bound_past_int64_limit_refused_before_allocating(monkeypatch):
-    # no modulus of 2^31 or more can be checked, so the bound is refused
-    # before any candidate list or pool exists
-    def no_pool(*args, **kwargs):
+@pytest.fixture
+def no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
         raise AssertionError("worker pool started")
 
-    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", refuse)
+
+
+def test_bound_past_int64_limit_refused_before_allocating(no_pool):
+    # no modulus of 2^31 or more can be checked, so the bound is refused
+    # before any candidate list or pool exists
     check_bound(MAX_COUNTING_MODULUS - 1)
     tracemalloc.start()
     try:
@@ -271,6 +276,31 @@ def test_bound_past_int64_limit_refused_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_single_job_starts_no_pool(no_pool):
+    # one pending m, or one block's worth of candidates, runs in-process
+    assert search_all(8, 8, 2_000, workers=2)[0].status == "exhausted"
+    assert sweep_nonexistence(3, 50, workers=2).record.N == 13
+
+
+def test_consumer_error_cancels_queued_jobs(monkeypatch):
+    # the pool runs at most workers * 4 jobs past the one being waited
+    # for, and an error in the consumer cancels all that have not started
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(*args, **kwargs)
+
+    def stop(record):
+        raise RuntimeError("consumer failed")
+
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", CountingPool)
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        search_all(2, 60, 2_000, workers=2, on_record=stop)
+    assert 0 < len(submitted) <= 2 * 4 + 1
 
 
 def test_search_all_rejects_bad_range():
@@ -330,7 +360,7 @@ def test_record_round_trips(sieve):
 
 def test_progress_callback_fires():
     seen = []
-    search_min_modulus(
+    sweep_nonexistence(
         8,
         20_000,
         workers=2,
