@@ -8,7 +8,7 @@ conditions hold, and render the induced edge coloring of K_13.
 
 import numpy as np
 
-from ramsey_forge import build_partition, export_coloring, full_fast_check
+from ramsey_forge import build_partition, check_candidate, export_coloring
 
 N = 13
 p = build_partition(N=N, m=3, x=2)
@@ -41,7 +41,7 @@ for j in (1, 2):
     covers = np.array_equal(sums(X0, p.classes[j]), np.arange(1, N))
     print(f"X_0 + X_{j} = all of Z_13 minus 0: {covers}")
 
-report = full_fast_check(p)
+report = check_candidate(N, 3, 2)
 print("\nfull check:", report.to_json())
 
 # the DOT rendering colors the 78 edges of K_13 in red/blue/green

@@ -13,7 +13,7 @@ from .catalog import (
     verify_row,
     verify_rows,
 )
-from .checker import check_candidate, full_fast_check
+from .checker import check_candidate
 from .classcount import class_index_table, counting_report, pair_sum_class_matrix
 from .numbertheory import is_generator, prime_factors, sieve_primes, smallest_generator
 from .oracle import (
@@ -64,7 +64,6 @@ __all__ = [
     "counting_report",
     "exhaustive_small_scan",
     "export_coloring",
-    "full_fast_check",
     "is_generator",
     "load_catalog",
     "naive_check",

@@ -242,7 +242,7 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
         # -1 = x^((N-1)/2) falls outside X_0, which makes negation move
         # every class wholesale; the first failing element of class 0 is
         # then simply its minimum, x^0 = 1.
-        return CheckReport(False, None, None, None, Witness("symmetric", (0,), 1))
+        return CheckReport(Witness("symmetric", (0,), 1))
 
     a = _sum_free_scan(N, m, k // SCAN_SHARE)
     if a is None:
@@ -251,7 +251,7 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
         step = np.flatnonzero(np.diff(X) == 1)
         a = int(X[step[0] + 1]) if step.size else None
     if a is not None:
-        return CheckReport(True, False, None, None, Witness("sum_free", (0, 0), a))
+        return CheckReport(Witness("sum_free", (0, 0), a))
 
     # z lies in class j iff z^k = (x^k)^j, so the classes that row 0 of T
     # reaches, T[0][j] = #{a in X_0 \ {1} : 1 - a in X_j}, are those of
@@ -267,8 +267,7 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
             i = np.minimum(np.searchsorted(reached, zk), reached.size - 1)
             return (zk != 1) & (reached[i] != zk)
 
-        w = Witness("cyclic_basis", (0,), _first_hit(N, missed))
-        return CheckReport(True, True, False, None, w)
+        return CheckReport(Witness("cyclic_basis", (0,), _first_hit(N, missed)))
 
     # m = 1 never gets here: X_0 is then the whole group and fails
     # sum_free at a = 2.
@@ -285,6 +284,6 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
         wanted = np.zeros(m, dtype=bool)
         wanted[(m - np.flatnonzero(gap[:, i])) % m] = True
         z = _first_hit(N, lambda z: wanted[h[np.minimum(z, N - z)]])
-        return CheckReport(True, True, True, False, Witness("triangle", (0, i), z))
+        return CheckReport(Witness("triangle", (0, i), z))
 
-    return CheckReport.all_passed()
+    return CheckReport()

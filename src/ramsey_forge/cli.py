@@ -108,10 +108,13 @@ def _document(path: str | None) -> Iterator[IO[str]]:
     """Stdout, or a file that replaces `path` only once it is whole: it
     is written as PATH.<pid>.tmp and renamed into place, and an error
     leaves the old file and no temporary behind.  Entered before the
-    work, it stops a command whose path cannot be written."""
+    work, it stops a command whose path is a directory or cannot be
+    written."""
     if path is None:
         yield sys.stdout
         return
+    if os.path.isdir(path):
+        raise _Unwritable(f"cannot write {path}: Is a directory")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with _create(tmp, path) as f:
@@ -141,7 +144,7 @@ def _cmd_search(args) -> int:
     progress = _Progress("search", args.progress_interval, args.quiet)
 
     resume_records: list[SearchRecord] = []
-    if args.resume and args.out and os.path.exists(args.out):
+    if args.resume and args.out and os.path.isfile(args.out):
         with open(args.out, encoding="ascii") as f:
             text = f.read()
         # records are written a line at a time and flushed, so an
@@ -240,15 +243,10 @@ def _cmd_verify(args) -> int:
         if args.format == "csv":
             _emit(sink, VERIFY_CSV_HEADER)
             for v in results:
-                rep = v.report
-                _emit(
-                    sink,
-                    f"{v.row.m},{v.row.N},{v.row.x},{_flag(v.generator_ok)},"
-                    f"{_flag(rep.symmetric)},{_flag(rep.sum_free)},"
-                    f"{_flag(rep.cyclic_basis)},{_flag(rep.triangle)},"
-                    f"{_flag(rep.overall)},{_flag(v.minimal_ok)},"
-                    f"{_flag(v.passed)},{v.elapsed_ms:.3f}",
-                )
+                cells = (v.generator_ok, *v.report.flags(), v.report.overall,
+                         v.minimal_ok, v.passed)
+                _emit(sink, f"{v.row.m},{v.row.N},{v.row.x},"
+                            f"{','.join(map(_flag, cells))},{v.elapsed_ms:.3f}")
         else:
             for v in results:
                 _emit(sink, json.dumps(v.to_dict(), separators=(",", ":")))
@@ -291,13 +289,8 @@ def _cmd_scan(args) -> int:
             if args.format == "csv":
                 _emit(sink, SCAN_CSV_HEADER)
                 for r in records:
-                    f = r.fast
-                    _emit(
-                        sink,
-                        f"{r.N},{r.m},{r.x},{_flag(f.symmetric)},{_flag(f.sum_free)},"
-                        f"{_flag(f.cyclic_basis)},{_flag(f.triangle)},"
-                        f"{_flag(f.overall)},{_flag(r.naive.overall)},{_flag(r.agree)}",
-                    )
+                    cells = (*r.fast.flags(), r.fast.overall, r.naive.overall, r.agree)
+                    _emit(sink, f"{r.N},{r.m},{r.x},{','.join(map(_flag, cells))}")
             else:
                 for r in records:
                     _emit(sink, json.dumps(r.to_dict(), separators=(",", ":")))
@@ -377,6 +370,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except _Unwritable as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to the null
+        # device, so that the final flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -57,14 +57,8 @@ def build_partition(N: int, m: int, x: int) -> CyclotomicPartition:
     """
     if m < 1 or N % (2 * m) != 1:
         raise ValueError(f"need N = 1 (mod 2m); got N={N}, m={m}")
-    return _build_partition_unchecked(N, m, x)
-
-
-def _build_partition_unchecked(N: int, m: int, x: int) -> CyclotomicPartition:
-    # Test hook: skips the k-even congruence so checker failure paths on
-    # asymmetric partitions can be exercised.  A generator's N - 1 powers
-    # are distinct, so the columns of its walk tile Z_N \ {0}; class_columns
-    # raises for m not dividing N - 1 and for any x that is no generator.
+    # A generator's N - 1 powers are distinct, so the columns of its walk
+    # tile Z_N \ {0}; class_columns raises for any x that is no generator.
     rows = np.sort(class_columns(N, m, x).T)
     rows.setflags(write=False)
     return CyclotomicPartition(N, m, (N - 1) // m, x % N, tuple(rows))

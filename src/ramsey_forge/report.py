@@ -1,14 +1,14 @@
 """Structured verdicts shared by the fast checker and the oracle.
 
-A report carries one tri-state flag per condition, evaluated in the
-fixed order
+The four conditions are evaluated in the fixed order of `CONDITIONS`
 
     symmetric -> sum_free -> cyclic_basis -> triangle
 
-with evaluation stopping at the first failure: flags after a False are
-None (skipped), which serializes to JSON null.  `overall` is True only
-when all four flags are True.  A report that is not overall-True
-carries a witness pinpointing the first violation found.
+and evaluation stops at the first failure.  A report therefore stores
+only its witness, the first violation found, or None when all four
+hold.  The tri-state flags follow from where the witness's condition
+sits in that order: True before it, False at it, None (skipped, JSON
+null) after it.  `overall` is True exactly when there is no witness.
 """
 
 from __future__ import annotations
@@ -42,44 +42,45 @@ class Witness:
         return cls(d["condition"], tuple(d["classes"]), d["residue"])
 
 
+def _flag(name: str) -> property:
+    i = CONDITIONS.index(name)
+    return property(lambda self: self.flags()[i], doc=f"The {name} flag.")
+
+
 @dataclass(frozen=True)
 class CheckReport:
-    symmetric: bool | None
-    sum_free: bool | None
-    cyclic_basis: bool | None
-    triangle: bool | None
+    """A verdict: `CheckReport()` passes all four conditions,
+    `CheckReport(w)` fails first at `w.condition`."""
+
     witness: Witness | None = None
 
     def __post_init__(self):
-        if (self.witness is None) != self.overall:
-            raise ValueError("witness must be present exactly when a condition fails")
+        if self.witness is not None and self.witness.condition not in CONDITIONS:
+            raise ValueError(f"unknown condition {self.witness.condition!r}")
+
+    symmetric = _flag("symmetric")
+    sum_free = _flag("sum_free")
+    cyclic_basis = _flag("cyclic_basis")
+    triangle = _flag("triangle")
 
     @property
     def overall(self) -> bool:
-        return (
-            self.symmetric is True
-            and self.sum_free is True
-            and self.cyclic_basis is True
-            and self.triangle is True
-        )
-
-    def flags(self) -> tuple[bool | None, ...]:
-        return (self.symmetric, self.sum_free, self.cyclic_basis, self.triangle)
+        return self.witness is None
 
     @property
     def failed_condition(self) -> str | None:
         """Name of the first failing condition, or None when all pass."""
-        for name, flag in zip(CONDITIONS, self.flags()):
-            if flag is False:
-                return name
-        return None
+        return None if self.witness is None else self.witness.condition
+
+    def flags(self) -> tuple[bool | None, ...]:
+        if self.witness is None:
+            return (True,) * len(CONDITIONS)
+        i = CONDITIONS.index(self.witness.condition)
+        return (True,) * i + (False,) + (None,) * (len(CONDITIONS) - i - 1)
 
     def to_dict(self) -> dict:
         return {
-            "symmetric": self.symmetric,
-            "sum_free": self.sum_free,
-            "cyclic_basis": self.cyclic_basis,
-            "triangle": self.triangle,
+            **dict(zip(CONDITIONS, self.flags())),
             "witness": None if self.witness is None else self.witness.to_dict(),
             "overall": self.overall,
         }
@@ -89,15 +90,11 @@ class CheckReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckReport":
+        """The report a `to_dict` document describes; refuses one whose
+        flags or `overall` disagree with its witness."""
         w = d.get("witness")
-        return cls(
-            d["symmetric"],
-            d["sum_free"],
-            d["cyclic_basis"],
-            d["triangle"],
-            None if w is None else Witness.from_dict(w),
-        )
-
-    @classmethod
-    def all_passed(cls) -> "CheckReport":
-        return cls(True, True, True, True, None)
+        rep = cls(None if w is None else Witness.from_dict(w))
+        stated = tuple(d[c] for c in CONDITIONS) + (d["overall"],)
+        if stated != rep.flags() + (rep.overall,):
+            raise ValueError(f"flags {stated} disagree with witness {w}")
+        return rep

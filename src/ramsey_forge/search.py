@@ -105,11 +105,14 @@ class SearchRecord:
 
 @dataclass(frozen=True)
 class CandidateFailure:
-    """One rejected modulus: which condition broke first, and where."""
+    """One rejected modulus and the witness to the condition it broke first."""
 
     N: int
-    failed_check: str
     witness: Witness
+
+    @property
+    def failed_check(self) -> str:
+        return self.witness.condition
 
     def to_dict(self) -> dict:
         return {
@@ -195,15 +198,12 @@ def candidate_primes(m: int, lo: int, hi: int) -> list[int]:
     return (first + step * np.flatnonzero(is_prime)).tolist()
 
 
-def _evaluate_block(
-    Ns: Sequence[int], m: int
-) -> list[tuple[int, int, bool, str | None, Witness | None]]:
-    """(N, x, passed, failed_check, witness) for each modulus of a block."""
+def _evaluate_block(Ns: Sequence[int], m: int) -> list[tuple[int, int, Witness | None]]:
+    """(N, x, witness) for each modulus of a block; no witness is a pass."""
     out = []
     for N in Ns:
         x = smallest_generator(N)
-        report = check_candidate(N, m, x)
-        out.append((N, x, report.overall, report.failed_condition, report.witness))
+        out.append((N, x, check_candidate(N, m, x).witness))
     return out
 
 
@@ -255,12 +255,12 @@ def _scan_candidates(
 
     with closing(blocks):
         results = chain.from_iterable(blocks)
-        for done, (N, x, passed, failed, witness) in enumerate(results, 1):
-            if passed:
+        for done, (N, x, witness) in enumerate(results, 1):
+            if witness is None:
                 # a sweep that finds one reports it rather than keep scanning
                 return finish("found", N, x, done), tuple(failures)
             if collect_failures:
-                failures.append(CandidateFailure(N, failed, witness))
+                failures.append(CandidateFailure(N, witness))
             if progress and done % BLOCK_SIZE == 0:
                 progress(m, N, done)
     return finish("exhausted", None, None, len(candidates)), tuple(failures)

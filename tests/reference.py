@@ -257,20 +257,14 @@ def check_triangle_fast(p: BitmaskPartition) -> bool:
 
 
 def bitset_report(p: BitmaskPartition) -> CheckReport:
-    """The four flags and the first witness, in check order."""
-    w = _symmetric(p)
-    if w is not None:
-        return CheckReport(False, None, None, None, w)
-    w = _sum_free(p.classes[0])
-    if w is not None:
-        return CheckReport(True, False, None, None, w)
-    w = _cyclic_basis(p.classes[0])
-    if w is not None:
-        return CheckReport(True, True, False, None, w)
-    w = _triangle(p)
-    if w is not None:
-        return CheckReport(True, True, True, False, w)
-    return CheckReport.all_passed()
+    """The first witness, in check order, or none when all four hold."""
+    w = (
+        _symmetric(p)
+        or _sum_free(p.classes[0])
+        or _cyclic_basis(p.classes[0])
+        or _triangle(p)
+    )
+    return CheckReport(w)
 
 
 def full_class_index_table(N: int, m: int, x: int) -> np.ndarray:

@@ -7,6 +7,7 @@ build/ directory is git-ignored, so a test run leaves the tree clean;
 the committed acceptance_report.txt is refreshed by copying it over.
 """
 
+import hashlib
 import json
 import time
 from itertools import combinations_with_replacement
@@ -32,6 +33,13 @@ from reference import BitmaskPartition, ResidueSet, check_symmetric, sumset
 REPORT_PATH = Path(__file__).resolve().parent.parent / "build" / "acceptance_report.txt"
 
 _LINES: list[str] = []
+
+# SHA-256 of the --failures logs of the two nonexistence sweeps: every
+# rejected candidate with the witness to its first failing condition
+FAILURE_LOG_SHA256 = {
+    8: "47c9fe7ca687cc907ed6cbc19f36292b64a970610359012e26dbb9778bcb384b",
+    13: "6007fd6fda5e2caf3ddcc754619bf4e112c38623cc6e1cddfb7778e239e9bfff",
+}
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -129,38 +137,48 @@ def test_criterion_03_search_spot_checks(tmp_path, capsys):
 def test_criterion_04_eight_colors_exhausted(tmp_path, capsys):
     done = _timed(60.0)
     out = tmp_path / "sweep8.csv"
-    code = main(["sweep", "--m", "8", "--workers", "4", "-q", "--out", str(out)])
+    log = tmp_path / "sweep8-failures.jsonl"
+    code = main(["sweep", "--m", "8", "--workers", "4", "-q", "--out", str(out),
+                 "--failures", str(log)])
     row = out.read_text().splitlines()[1].split(",")
+    digest = hashlib.sha256(log.read_bytes()).hexdigest()
     dt, in_budget = done()
     ok = (
         code == 0
         and row[1] == "exhausted"
         and row[4] == "109602"
         and int(row[5]) > 0
+        and digest == FAILURE_LOG_SHA256[8]
         and in_budget
     )
     _report(
         4, "m=8 nonexistence to 109602", ok,
-        f"status={row[1]}, candidates={row[5]}, {dt:.1f}s (budget 60s)",
+        f"status={row[1]}, candidates={row[5]}, log sha256 {digest[:12]}, "
+        f"{dt:.1f}s (budget 60s)",
     )
 
 
 def test_criterion_05_thirteen_colors_exhausted(tmp_path, capsys):
     done = _timed(120.0)
     out = tmp_path / "sweep13.csv"
-    code = main(["sweep", "--m", "13", "--workers", "4", "-q", "--out", str(out)])
+    log = tmp_path / "sweep13-failures.jsonl"
+    code = main(["sweep", "--m", "13", "--workers", "4", "-q", "--out", str(out),
+                 "--failures", str(log)])
     row = out.read_text().splitlines()[1].split(",")
+    digest = hashlib.sha256(log.read_bytes()).hexdigest()
     dt, in_budget = done()
     ok = (
         code == 0
         and row[1] == "exhausted"
         and row[4] == "190997"
         and int(row[5]) > 0
+        and digest == FAILURE_LOG_SHA256[13]
         and in_budget
     )
     _report(
         5, "m=13 nonexistence to 190997", ok,
-        f"status={row[1]}, candidates={row[5]}, {dt:.1f}s (budget 120s)",
+        f"status={row[1]}, candidates={row[5]}, log sha256 {digest[:12]}, "
+        f"{dt:.1f}s (budget 120s)",
     )
 
 

@@ -4,10 +4,9 @@ import tracemalloc
 import pytest
 
 from ramsey_forge import classcount
-from ramsey_forge.checker import check_candidate, full_fast_check
+from ramsey_forge.checker import check_candidate
 from ramsey_forge.numbertheory import prime_factors, sieve_primes, smallest_generator
-from ramsey_forge.partition import build_partition, _build_partition_unchecked
-from ramsey_forge.report import CheckReport, Witness
+from ramsey_forge.report import CONDITIONS, CheckReport, Witness
 from reference import (
     ResidueSet,
     bitmask_partition,
@@ -98,23 +97,23 @@ def test_triangle_on_zero_pairs_settles_all_pairs_to_600():
 
 
 def test_full_check_order_and_short_circuit():
-    rep = full_fast_check(_build_partition_unchecked(7, 2, 3))
+    rep = check_candidate(7, 2, 3)
     assert rep.flags() == (False, None, None, None)
     assert rep.witness == Witness("symmetric", (0,), 1)
     assert not rep.overall
 
-    rep = full_fast_check(build_partition(13, 2, 2))
+    rep = check_candidate(13, 2, 2)
     assert rep.flags() == (True, False, None, None)
     assert rep.witness.condition == "sum_free"
     assert rep.witness.classes == (0, 0)
     # smallest a in X_0 with (1 - a) mod 13 also in X_0
     assert rep.witness.residue == 4
 
-    rep = full_fast_check(build_partition(7, 3, 3))
+    rep = check_candidate(7, 3, 3)
     assert rep.flags() == (True, True, False, None)
     assert rep.witness == Witness("cyclic_basis", (0,), 3)
 
-    rep = full_fast_check(build_partition(5, 2, 2))
+    rep = check_candidate(5, 2, 2)
     assert rep.flags() == (True, True, True, True)
     assert rep.witness is None and rep.overall
 
@@ -157,13 +156,6 @@ def test_methods_agree_on_larger_sample():
     for N, m in sample:
         x = smallest_generator(N)
         assert check_candidate(N, m, x) == bitset_reference(N, m, x), (N, m)
-
-
-def test_check_candidate_matches_full_check_and_reference():
-    for N, m, x in [(5, 2, 2), (13, 3, 2), (41, 4, 6), (491, 7, 2)]:
-        rep = check_candidate(N, m, x)
-        assert rep == full_fast_check(build_partition(N, m, x))
-        assert rep == bitset_reference(N, m, x)
 
 
 def test_check_candidate_rejects_non_generator():
@@ -280,7 +272,36 @@ def test_report_json_round_trip():
 
 
 def test_report_invariant_enforced():
-    with pytest.raises(ValueError):
-        CheckReport(True, True, True, True, Witness("triangle", (0, 1), 3))
-    with pytest.raises(ValueError):
-        CheckReport(True, False, None, None, None)
+    doc = CheckReport(Witness("cyclic_basis", (0,), 3)).to_dict()
+    with pytest.raises(ValueError, match="disagree"):
+        CheckReport.from_dict({**doc, "triangle": True})
+    doc = CheckReport().to_dict()
+    with pytest.raises(ValueError, match="disagree"):
+        CheckReport.from_dict({**doc, "sum_free": False})
+    with pytest.raises(ValueError, match="disagree"):
+        CheckReport.from_dict({**doc, "overall": False})
+    with pytest.raises(ValueError, match="unknown condition"):
+        CheckReport.from_dict({**doc, "witness": {"condition": "reflexive",
+                                                  "classes": [0], "residue": 1}})
+    with pytest.raises(ValueError, match="unknown condition"):
+        CheckReport(Witness("reflexive", (0,), 1))
+
+
+@pytest.mark.parametrize("witness, flags", [
+    (None, (True, True, True, True)),
+    (Witness("symmetric", (0,), 1), (False, None, None, None)),
+    (Witness("sum_free", (0, 0), 4), (True, False, None, None)),
+    (Witness("cyclic_basis", (0,), 3), (True, True, False, None)),
+    (Witness("triangle", (0, 1), 5), (True, True, True, False)),
+], ids=["pass", *CONDITIONS])
+def test_report_flags_follow_witness_and_round_trip(witness, flags):
+    rep = CheckReport(witness)
+    assert rep.flags() == flags
+    assert (rep.symmetric, rep.sum_free, rep.cyclic_basis, rep.triangle) == flags
+    assert rep.overall is (witness is None)
+    assert rep.failed_condition == (None if witness is None else witness.condition)
+    d = rep.to_dict()
+    assert list(d) == [*CONDITIONS, "witness", "overall"]
+    assert tuple(d[c] for c in CONDITIONS) == flags
+    assert CheckReport.from_dict(d) == rep
+    assert CheckReport.from_dict(json.loads(rep.to_json())) == rep

@@ -14,7 +14,7 @@ from ramsey_forge.classcount import (
     power_walk,
 )
 from ramsey_forge.numbertheory import sieve_primes, smallest_generator
-from ramsey_forge.partition import build_partition, _build_partition_unchecked
+from ramsey_forge.partition import build_partition
 from ramsey_forge.search import candidate_primes
 from reference import (
     full_class_index_table,
@@ -216,8 +216,6 @@ def test_class_columns_are_the_classes_and_reject_non_generators():
     for m in (5, 0):
         with pytest.raises(ValueError, match=f"class count {m} does not divide 12"):
             class_columns(13, m, 2)
-    with pytest.raises(ValueError, match="class count 5 does not divide 12"):
-        _build_partition_unchecked(13, 5, 2)
 
 
 def test_pair_matrix_matches_definition():

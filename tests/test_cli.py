@@ -312,6 +312,8 @@ def test_out_file_is_replaced_whole(tmp_path, capsys, monkeypatch, argv, record)
     "argv,owner,work",
     [
         (("search", "--m", "2..3", "--bound", "100", "--out"), cli, "search_all"),
+        (("search", "--resume", "--m", "2..3", "--bound", "100", "--out"),
+         cli, "search_all"),
         (("sweep", "--m", "3", "--bound", "50", "--out"), cli, "sweep_nonexistence"),
         (("sweep", "--m", "3", "--bound", "50", "--failures"), cli, "sweep_nonexistence"),
         (("verify", "--all", "-q", "--out"), cli.catalog_mod, "verify_rows"),
@@ -319,7 +321,7 @@ def test_out_file_is_replaced_whole(tmp_path, capsys, monkeypatch, argv, record)
         (("export", "--m", "2", "--N", "5", "--x", "2", "--format", "dot", "--out"),
          cli, "build_partition"),
     ],
-    ids=["search", "sweep-out", "sweep-failures", "verify", "scan", "export"],
+    ids=["search", "search-resume", "sweep-out", "sweep-failures", "verify", "scan", "export"],
 )
 def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch, argv, owner, work):
     def unreachable(*args, **kwargs):
@@ -331,6 +333,15 @@ def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch, 
     assert code == 1 and out == ""
     assert err == f"error: cannot write {path}: No such file or directory\n"
     assert os.listdir(tmp_path) == []
+
+    # an existing directory is refused the same way, with nothing written
+    # beside it or into it
+    path = tmp_path / "dir"
+    path.mkdir()
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write {path}: Is a directory\n"
+    assert os.listdir(tmp_path) == ["dir"] and os.listdir(path) == []
 
 
 def test_sweep_default_bound_m13(capsys):
@@ -537,3 +548,18 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6"
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that stops early, like `head -1`, must not draw a traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ramsey_forge.cli", "search", "--m", "2..40",
+         "--bound", "200000", "--workers", "1", "-q"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    assert proc.stdout.readline() == f"{SEARCH_CSV_HEADER}\n".encode()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

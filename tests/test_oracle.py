@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramsey_forge import oracle
-from ramsey_forge.checker import check_candidate, full_fast_check
+from ramsey_forge.checker import check_candidate
 from ramsey_forge.numbertheory import is_generator, sieve_primes
 from ramsey_forge.oracle import (
     LabeledPartition,
@@ -16,7 +16,7 @@ from ramsey_forge.oracle import (
     partition_atoms,
     relation_algebra_check,
 )
-from ramsey_forge.partition import build_partition, _build_partition_unchecked
+from ramsey_forge.partition import build_partition
 from ramsey_forge.report import CheckReport, Witness
 
 
@@ -30,23 +30,20 @@ def _definitional_check(p):
     for i, c in enumerate(classes):
         for a in c:
             if (N - a) % N not in csets[i]:
-                w = Witness("symmetric", (i,), a)
-                return CheckReport(False, None, None, None, w)
+                return CheckReport(Witness("symmetric", (i,), a))
 
     self_sums = [{(a + b) % N for a in c for b in c} for c in classes]
 
     for i, c in enumerate(classes):
         bad = self_sums[i] & csets[i]
         if bad:
-            w = Witness("sum_free", (i, i), min(bad))
-            return CheckReport(True, False, None, None, w)
+            return CheckReport(Witness("sum_free", (i, i), min(bad)))
 
     universe = set(range(N))
     for i, c in enumerate(classes):
         expected = universe - csets[i]
         if self_sums[i] != expected:
-            w = Witness("cyclic_basis", (i,), min(self_sums[i] ^ expected))
-            return CheckReport(True, True, False, None, w)
+            return CheckReport(Witness("cyclic_basis", (i,), min(self_sums[i] ^ expected)))
 
     target = universe - {0}
     for i in range(len(classes)):
@@ -54,10 +51,9 @@ def _definitional_check(p):
             # addition is commutative, so (i, j) settles (j, i) too
             s = {(a + b) % N for a in classes[i] for b in classes[j]}
             if s != target:
-                w = Witness("triangle", (i, j), min(s ^ target))
-                return CheckReport(True, True, True, False, w)
+                return CheckReport(Witness("triangle", (i, j), min(s ^ target)))
 
-    return CheckReport.all_passed()
+    return CheckReport()
 
 
 def test_labeled_partition_validation():
@@ -78,8 +74,11 @@ def test_naive_check_worked_examples():
 
 
 def test_naive_check_detects_each_failure_mode():
-    rep = naive_check(_build_partition_unchecked(7, 2, 3))
+    # the classes of x = 3, m = 2 mod 7: k = 3 is odd, so -1 = 6 lies
+    # outside the class of 1
+    rep = naive_check(LabeledPartition.from_sets(7, [[1, 2, 4], [3, 5, 6]]))
     assert rep.flags() == (False, None, None, None)
+    assert rep.witness == Witness("symmetric", (0,), 1)
 
     # symmetric but not sum-free: 1 + 1 = 2 inside the first class
     rep = naive_check(LabeledPartition.from_sets(7, [[1, 2, 5, 6], [3, 4]]))
@@ -99,7 +98,7 @@ def test_naive_triangle_failure():
     rep = naive_check(build_partition(2441, 20, 6))
     assert rep.flags() == (True, True, True, False)
     assert rep.witness.condition == "triangle"
-    assert rep.flags() == full_fast_check(build_partition(2441, 20, 6)).flags()
+    assert rep.flags() == check_candidate(2441, 20, 6).flags()
 
 
 def test_naive_agrees_with_fast_on_constructions_to_300():
@@ -196,8 +195,7 @@ def test_scan_record_serialization():
 def test_fast_report_equals_naive_report_structurally():
     # same dataclass, so agreement can be asserted on whole reports for
     # single-generator input where both use class-0 based witnesses
-    p = build_partition(5, 2, 2)
-    assert full_fast_check(p) == naive_check(p)
+    assert check_candidate(5, 2, 2) == naive_check(build_partition(5, 2, 2))
 
 
 def test_naive_check_equals_definitional_check_to_300():

@@ -3,7 +3,7 @@ import pytest
 
 from ramsey_forge.classcount import class_columns
 from ramsey_forge.numbertheory import is_generator, sieve_primes
-from ramsey_forge.partition import build_partition, _build_partition_unchecked
+from ramsey_forge.partition import build_partition
 
 
 def assert_tiles(p):
@@ -53,11 +53,6 @@ def test_partition_rejects_subgroup_sized_non_generator():
     # subgroup, so class zero looks fine, but the cosets collide
     with pytest.raises(ValueError):
         build_partition(13, 3, 5)
-
-
-def test_unchecked_builder_allows_odd_k():
-    p = _build_partition_unchecked(7, 2, 3)
-    assert [c.tolist() for c in p.classes] == [[1, 2, 4], [3, 5, 6]]
 
 
 def test_class_chain_is_generator_scaling():
