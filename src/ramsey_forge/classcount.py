@@ -230,7 +230,8 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     k.  The sum-free witness comes from `_sum_free_scan`; a candidate it
     leaves open walks class 0 and sorts it once.  Two consecutive
     elements of sorted X_0 are the witness's a - 1 and a.  The cyclic
-    basis counts the distinct characters (1 - a)^k over X_0 \\ {1}; its
+    basis counts the distinct characters (1 - a)^k over X_0 \\ {1}, raised
+    for the first half of the walk only, since a and 1/a share one; its
     witness is the least z whose z^k is neither 1 nor one of them.  Only
     a candidate that passes all three builds the half class table and
     the full matrix, for the triangle, and its witness is the least z
@@ -247,6 +248,9 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     a = _sum_free_scan(N, m, k // SCAN_SHARE)
     if a is None:
         X = power_walk(pow(x, m, N), k, N)
+        # 1 - 1/a = -(1 - a)/a with -1 and a in X_0, so a and 1/a give 1 - a
+        # the same character, and g^1..g^(k/2), g = x^m, meet one of each pair
+        one_minus = N + 1 - X[1 : k // 2 + 1]
         X.sort()
         step = np.flatnonzero(np.diff(X) == 1)
         a = int(X[step[0] + 1]) if step.size else None
@@ -258,7 +262,7 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     # the distinct characters (1 - a)^k; X_0 being sum-free, none is 1.
     # z of class j is missed by X_0 + X_0 exactly when T[d][d] vanishes
     # for d = -j mod m, and T[d][d] = T[0][j].
-    reached = _power_mod(N + 1 - X[1:], k, N)
+    reached = _power_mod(one_minus, k, N)
     reached.sort()
     reached = reached[np.diff(reached, prepend=0) != 0]
     if reached.size < m - 1:

@@ -4,7 +4,8 @@ Subcommands: search, sweep, verify, bound, export, scan.  Result
 documents (CSV by default, JSON lines with --format json) go to stdout
 or the --out file; progress lines go to stderr so the two never mix.
 Exit status is 0 only when the operation completed, and for verify only
-when every selected row passed.
+when every selected row passed.  search, sweep, verify and scan run on
+--workers processes and write the same documents whatever the count.
 """
 
 from __future__ import annotations
@@ -222,6 +223,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
+        workers = _resolve_workers(args.workers)
         rows = catalog_mod.load_catalog()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -238,7 +240,7 @@ def _cmd_verify(args) -> int:
     progress = _Progress("verify", args.progress_interval, args.quiet)
     with _document(args.out) as sink:
         results = catalog_mod.verify_rows(
-            rows, minimality=args.minimality, progress=progress
+            rows, minimality=args.minimality, workers=workers, progress=progress
         )
         if args.format == "csv":
             _emit(sink, VERIFY_CSV_HEADER)
@@ -284,8 +286,9 @@ def _cmd_export(args) -> int:
 
 def _cmd_scan(args) -> int:
     try:
+        workers = _resolve_workers(args.workers)
         with _document(args.out) as sink:
-            records = oracle_mod.exhaustive_small_scan(args.nmax)
+            records = oracle_mod.exhaustive_small_scan(args.nmax, workers=workers)
             if args.format == "csv":
                 _emit(sink, SCAN_CSV_HEADER)
                 for r in records:
@@ -305,13 +308,12 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _add_common(sp, *, workers: bool = True) -> None:
+def _add_common(sp) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", metavar="PATH")
     sp.add_argument("--quiet", "-q", action="store_true")
     sp.add_argument("--progress-interval", type=float, default=10.0, metavar="SEC")
-    if workers:
-        sp.add_argument("--workers", type=int, metavar="W")
+    sp.add_argument("--workers", type=int, metavar="W")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--m", type=_parse_m_range, default=None, metavar="A..B")
     sp.add_argument("--minimality", action="store_true")
-    _add_common(sp, workers=False)
+    _add_common(sp)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("bound", help="recursive multicolor Ramsey bound")
@@ -359,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nmax", type=int, required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", metavar="PATH")
+    sp.add_argument("--workers", type=int, metavar="W")
     sp.set_defaults(fn=_cmd_scan)
 
     return ap

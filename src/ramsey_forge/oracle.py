@@ -8,7 +8,8 @@ class's self-sumset only when the checks reach that class, in check
 order.  It is the yardstick the fast checker is tested against, so it
 deliberately shares nothing with it beyond numpy.  Both partition
 types hold each class as an ascending int64 array, so every check here
-reads `.N` and `.classes` from either without converting.
+reads `.N` and `.classes` from either without converting.  The small
+scan's jobs are its prime moduli, run in N order by `search.in_order`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .checker import check_candidate
 from .numbertheory import sieve_primes, smallest_generator
 from .partition import CyclotomicPartition, build_partition
 from .report import CheckReport, Witness
+from .search import in_order
 
 ORACLE_SCAN_MAX = 2000
 RELATION_CAP = 200
@@ -282,24 +284,25 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def exhaustive_small_scan(N_max: int) -> list[ScanRecord]:
+def _scan_modulus(N: int) -> list[ScanRecord]:
+    """The scan's records for the prime N, in m order."""
+    x = smallest_generator(N)
+    return [
+        ScanRecord(N, m, x, check_candidate(N, m, x), naive_check(build_partition(N, m, x)))
+        for m in _divisors((N - 1) // 2)[1:]  # every m >= 2 with 2m | N - 1
+    ]
+
+
+def exhaustive_small_scan(N_max: int, *, workers: int = 1) -> list[ScanRecord]:
     """Every (N, m) with prime N <= N_max, m >= 2, N = 1 (mod 2m),
-    using the least generator; each is run through both checkers.
+    using the least generator; each is run through both checkers, one
+    job per N on up to `workers` processes.
 
     Capped at N_max <= 2000: the reference checker is quadratic and this
     scan exists to cross-examine the fast path, not to search.
     """
     if N_max > ORACLE_SCAN_MAX:
         raise ValueError(f"scan limited to N <= {ORACLE_SCAN_MAX}, got {N_max}")
-    records = []
-    for N in sieve_primes(max(N_max, 2)).tolist():
-        if N < 5:
-            continue
-        x = smallest_generator(N)
-        for m in _divisors((N - 1) // 2):
-            if m < 2:
-                continue
-            records.append(ScanRecord(
-                N, m, x, check_candidate(N, m, x), naive_check(build_partition(N, m, x))
-            ))
-    return records
+    moduli = [N for N in sieve_primes(max(N_max, 2)).tolist() if N >= 5]
+    jobs = in_order(_scan_modulus, moduli, min(workers, len(moduli)))
+    return [r for records in jobs for r in records]

@@ -18,10 +18,12 @@ for a table.  A search drops the witness of each failure, a sweep logs
 it.
 
 Two runs with the same (m, bound) produce identical records whatever
-the worker count: `_in_order` yields them in job order, as plain `map`
+the worker count: `in_order` yields them in job order, as plain `map`
 on one worker, or from a pool that runs at most workers * 4 jobs ahead
-and cancels the rest as soon as its consumer stops.  A search's jobs are
-its color counts, a sweep's are blocks of candidates.
+and cancels the rest as soon as its consumer stops.  It is the package's
+only process pool, and serves all four batch commands: a search's jobs
+are its color counts, a sweep's are blocks of candidates, a catalog
+verification's are its rows and a small-moduli scan's are its moduli.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def _evaluate_block(Ns: Sequence[int], m: int) -> list[tuple[int, int, Witness |
     return out
 
 
-def _in_order(fn: Callable, jobs: Iterable, workers: int) -> Iterator:
+def in_order(fn: Callable, jobs: Iterable, workers: int) -> Iterator:
     """fn(job) for each job, yielded in job order.  One worker is plain
     `map`.  More run on a pool at most workers * 4 jobs past the one
     being waited for; closing the generator, or an error in its
@@ -242,7 +244,7 @@ def _scan_candidates(
     if len(candidates) <= BLOCK_SIZE:
         workers = 1
     size = BLOCK_SIZE if workers > 1 else 1
-    blocks = _in_order(
+    blocks = in_order(
         partial(_evaluate_block, m=m),
         (candidates[i : i + size] for i in range(0, len(candidates), size)),
         workers,
@@ -324,7 +326,7 @@ def search_all(
         if r.bound_used == bound and m_lo <= r.m <= m_hi
     }
     pending = [m for m in range(m_lo, m_hi + 1) if m not in resume]
-    computed = _in_order(
+    computed = in_order(
         partial(search_min_modulus, bound=bound), pending, min(workers, len(pending))
     )
     out: list[SearchRecord] = []

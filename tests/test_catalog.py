@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from importlib import resources
@@ -108,6 +109,32 @@ def test_verify_rows_orders_and_passes(catalog):
     assert [v.row.m for v in out] == [r.m for r in head]
     assert all(v.passed for v in out)
     assert all(v.minimal_ok is None for v in out)
+
+
+def test_pooled_verify_rows_match_one_worker(catalog):
+    # results come back in row order whatever the worker count, so only
+    # the timings differ
+    untimed = lambda out: [dataclasses.replace(v, elapsed_ms=0.0) for v in out]
+    one = verify_rows(catalog[:60], workers=1)
+    two = verify_rows(catalog[:60], workers=2)
+    assert untimed(two) == untimed(one)
+    assert [v.row for v in two] == catalog[:60]
+
+
+def test_single_row_starts_no_pool(catalog, no_pool):
+    (v,) = verify_rows(catalog[:1], workers=2)
+    assert v.row == catalog[0] and v.passed
+
+
+def test_progress_error_cancels_queued_rows(catalog, counting_pool):
+    # progress fires from the consumer, so its error stops the pool with
+    # at most workers * 4 rows past the first submitted
+    def stop_at_first_row(m, N, done):
+        raise RuntimeError("progress failed")
+
+    with pytest.raises(RuntimeError, match="progress failed"):
+        verify_rows(catalog, workers=2, progress=stop_at_first_row)
+    assert 0 < len(counting_pool) <= 2 * 4 + 1
 
 
 def test_verify_row_large_spot(catalog):

@@ -137,6 +137,28 @@ def test_character_row_is_row_zero_of_pair_matrix_to_2000():
                 assert rep.witness.residue == z, (N, m)
 
 
+def test_half_walk_takes_every_cyclic_basis_character_to_2000():
+    # 1 - 1/a = -(1 - a)/a with -1 and a in X_0, so a and 1/a share the
+    # character (1 - a)^k, and counting_report raises only the walk's
+    # g^1..g^(k/2), g = x^m.  Stopping at g^(k/2 - 1) instead loses the
+    # character of -1 and changes the set on 754 of these pairs.
+    pairs = 0
+    for N in sieve_primes(2000).tolist()[2:]:
+        x = smallest_generator(N)
+        for m in [d for d in range(2, N) if (N - 1) % (2 * d) == 0]:
+            k = (N - 1) // m
+            g = pow(x, m, N)
+            walk = [pow(g, j, N) for j in range(k)]
+            X0 = set(walk)
+            if any((1 - a) % N in X0 for a in X0):
+                continue
+            pairs += 1
+            every = {pow(1 - a, k, N) for a in X0 - {1}}
+            half = {pow(1 - a, k, N) for a in walk[1 : k // 2 + 1]}
+            assert half == every, (N, m)
+    assert pairs == 864
+
+
 def test_witnesses_past_the_first_chunk_at_large_n():
     # every witness lies past the first 64 residues the engine tries, at
     # moduli far above the exhaustive tests; the expected values come

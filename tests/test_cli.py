@@ -386,6 +386,27 @@ def test_verify_reports_non_minimal_row(capsys):
     assert row.startswith("266,1229453,2,true,true,true,true,true,true,false,false,")
 
 
+def test_verify_output_is_independent_of_workers(capsys):
+    code1, out1, _ = run_cli(capsys, "verify", "--m", "2..40", "--workers", "1", "-q")
+    code2, out2, _ = run_cli(capsys, "verify", "--m", "2..40", "--workers", "2", "-q")
+    assert code1 == code2 == 0
+    assert len(out1.splitlines()) == 38
+    assert strip_elapsed(out2) == strip_elapsed(out1)
+
+
+def test_bad_workers_env_stops_verify_and_scan_before_the_work(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started with a bad worker count")
+
+    monkeypatch.setattr(cli.catalog_mod, "verify_rows", unreachable)
+    monkeypatch.setattr(cli.oracle_mod, "exhaustive_small_scan", unreachable)
+    monkeypatch.setenv("RAMSEY_FORGE_WORKERS", "x")
+    for argv in (["verify", "--all"], ["scan", "--nmax", "50"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: RAMSEY_FORGE_WORKERS must be an integer, got 'x'\n"
+
+
 def test_verify_needs_selection(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 1
@@ -456,6 +477,13 @@ def test_scan_csv(capsys):
     assert len(lines) > 5
     assert all(ln.endswith(",true") for ln in lines[1:])
     assert "5,2,2,true,true,true,true,true,true,true" in lines
+
+
+def test_scan_output_is_independent_of_workers(capsys):
+    code1, out1, _ = run_cli(capsys, "scan", "--nmax", "300", "--workers", "1")
+    code2, out2, _ = run_cli(capsys, "scan", "--nmax", "300", "--workers", "2")
+    assert code1 == code2 == 0
+    assert out2 == out1
 
 
 def test_scan_json(capsys):

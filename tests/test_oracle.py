@@ -179,6 +179,15 @@ def test_scan_empty_below_first_usable_prime():
     assert exhaustive_small_scan(4) == []
 
 
+def test_pooled_scan_matches_one_worker():
+    # one job per prime modulus, joined in N order
+    assert exhaustive_small_scan(400, workers=2) == exhaustive_small_scan(400)
+
+
+def test_scan_of_one_modulus_starts_no_pool(no_pool):
+    assert [(r.N, r.m) for r in exhaustive_small_scan(6, workers=2)] == [(5, 2)]
+
+
 def test_scan_rejects_oversized_request():
     with pytest.raises(ValueError):
         exhaustive_small_scan(2001)

@@ -1,13 +1,11 @@
 import json
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramsey_forge import search as search_mod
 from ramsey_forge.classcount import MAX_COUNTING_MODULUS
 from ramsey_forge.numbertheory import sieve_primes
 from ramsey_forge.search import (
@@ -250,14 +248,6 @@ def test_search_all_resume_reuses_matching_records(sieve):
     assert all(r.bound_used == 1_000 for r in fresh)
 
 
-@pytest.fixture
-def no_pool(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("worker pool started")
-
-    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", refuse)
-
-
 def test_bound_past_int64_limit_refused_before_allocating(no_pool):
     # no modulus of 2^31 or more can be checked, so the bound is refused
     # before any candidate list or pool exists
@@ -284,23 +274,15 @@ def test_single_job_starts_no_pool(no_pool):
     assert sweep_nonexistence(3, 50, workers=2).record.N == 13
 
 
-def test_consumer_error_cancels_queued_jobs(monkeypatch):
+def test_consumer_error_cancels_queued_jobs(counting_pool):
     # the pool runs at most workers * 4 jobs past the one being waited
     # for, and an error in the consumer cancels all that have not started
-    submitted = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submitted.append(args)
-            return super().submit(*args, **kwargs)
-
     def stop(record):
         raise RuntimeError("consumer failed")
 
-    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", CountingPool)
     with pytest.raises(RuntimeError, match="consumer failed"):
         search_all(2, 60, 2_000, workers=2, on_record=stop)
-    assert 0 < len(submitted) <= 2 * 4 + 1
+    assert 0 < len(counting_pool) <= 2 * 4 + 1
 
 
 def test_search_all_rejects_bad_range():
