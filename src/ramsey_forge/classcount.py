@@ -42,6 +42,13 @@ lets both read only half the group (see `class_index_table`), and both
 run over it in blocks of `BLOCK` residues, so neither allocates an
 O(N) int64 array.
 
+The first three conditions thus depend on (N, m) alone, and
+`_class_zero_witness` decides them from any generator g of X_0, or,
+given none, from the least y^m that generates it.  `counting_report`
+passes x^m, so every report walks the class 0 it always walked; a
+search passes none, and computes a generator of the whole group only
+for the few candidates that reach the triangle.
+
 Every class-0 walk and the first block of the class table come from
 one kernel, `power_walk`, which lists g^0..g^(n-1) mod N by doubling:
 once the first L powers are known, multiplying them by g^L gives the
@@ -57,7 +64,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .numbertheory import MAX_COUNTING_MODULUS, is_generator
+from .numbertheory import MAX_COUNTING_MODULUS, is_generator, prime_factors
 from .report import CheckReport, Witness
 
 # Residues per vectorised pass of the table and matrix builders: 512 KiB
@@ -222,40 +229,44 @@ def _sum_free_scan(N: int, m: int, budget: int) -> int | None:
     return None
 
 
-def counting_report(N: int, m: int, x: int) -> CheckReport:
-    """Full four-condition report for the construction (N, m, x).
+def _class_zero_witness(N: int, m: int, g: int | None) -> Witness | None:
+    """The witness to the first of symmetry, sum-free and cyclic basis
+    that (N, m) breaks, or None if it meets all three.
 
-    Same flag order, short-circuiting, and witness conventions as the
-    bit-mask reference the tests hold it to.  Symmetry is the parity of
-    k.  The sum-free witness comes from `_sum_free_scan`; a candidate it
-    leaves open walks class 0 and sorts it once.  Two consecutive
-    elements of sorted X_0 are the witness's a - 1 and a.  The cyclic
-    basis counts the distinct characters (1 - a)^k over X_0 \\ {1}, raised
-    for the first half of the walk only, since a and 1/a share one; its
-    witness is the least z whose z^k is neither 1 nor one of them.  Only
-    a candidate that passes all three builds the half class table and
-    the full matrix, for the triangle, and its witness is the least z
-    whose class, read off that table, X_0 + X_i misses.
+    None of the three needs a generator of the whole group: X_0 is the
+    subgroup of order k whatever the generator, and each witness is read
+    off the set X_0 and the characters z^k.  The scan needs nothing but
+    k.  A candidate it leaves open walks g^0..g^(k-1), so g must
+    generate X_0.  Given None, the walk takes g = y^m for the least
+    y >= 2 with y^((N-1)/q) != 1 for every prime q dividing k, that is
+    (y^m)^(k/q) != 1: those q are the only primes that the order of
+    y^m can lose, so only a walked candidate factors anything.  The
+    caller checks that N is prime and that m divides N - 1.
     """
-    _require_generator(N, m, x)
     k = (N - 1) // m
     if k % 2:
         # -1 = x^((N-1)/2) falls outside X_0, which makes negation move
         # every class wholesale; the first failing element of class 0 is
         # then simply its minimum, x^0 = 1.
-        return CheckReport(Witness("symmetric", (0,), 1))
+        return Witness("symmetric", (0,), 1)
 
     a = _sum_free_scan(N, m, k // SCAN_SHARE)
-    if a is None:
-        X = power_walk(pow(x, m, N), k, N)
-        # 1 - 1/a = -(1 - a)/a with -1 and a in X_0, so a and 1/a give 1 - a
-        # the same character, and g^1..g^(k/2), g = x^m, meet one of each pair
-        one_minus = N + 1 - X[1 : k // 2 + 1]
-        X.sort()
-        step = np.flatnonzero(np.diff(X) == 1)
-        a = int(X[step[0] + 1]) if step.size else None
     if a is not None:
-        return CheckReport(Witness("sum_free", (0, 0), a))
+        return Witness("sum_free", (0, 0), a)
+    if g is None:
+        exps = [(N - 1) // q for q in prime_factors(k)]
+        y = 2
+        while any(pow(y, e, N) == 1 for e in exps):
+            y += 1
+        g = pow(y, m, N)
+    X = power_walk(g, k, N)
+    # 1 - 1/a = -(1 - a)/a with -1 and a in X_0, so a and 1/a give 1 - a
+    # the same character, and g^1..g^(k/2) meet one of each pair
+    one_minus = N + 1 - X[1 : k // 2 + 1]
+    X.sort()
+    step = np.flatnonzero(np.diff(X) == 1)
+    if step.size:
+        return Witness("sum_free", (0, 0), int(X[step[0] + 1]))
 
     # z lies in class j iff z^k = (x^k)^j, so the classes that row 0 of T
     # reaches, T[0][j] = #{a in X_0 \ {1} : 1 - a in X_j}, are those of
@@ -271,7 +282,30 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
             i = np.minimum(np.searchsorted(reached, zk), reached.size - 1)
             return (zk != 1) & (reached[i] != zk)
 
-        return CheckReport(Witness("cyclic_basis", (0,), _first_hit(N, missed)))
+        return Witness("cyclic_basis", (0,), _first_hit(N, missed))
+    return None
+
+
+def counting_report(N: int, m: int, x: int) -> CheckReport:
+    """Full four-condition report for the construction (N, m, x).
+
+    Same flag order, short-circuiting, and witness conventions as the
+    bit-mask reference the tests hold it to.  Symmetry is the parity of
+    k.  The sum-free witness comes from `_sum_free_scan`; a candidate it
+    leaves open walks class 0, as the powers of x^m, and sorts it once.
+    Two consecutive elements of sorted X_0 are the witness's a - 1 and
+    a.  The cyclic basis counts the distinct characters (1 - a)^k over
+    X_0 \\ {1}, raised for the first half of the walk only, since a and
+    1/a share one; its witness is the least z whose z^k is neither 1 nor
+    one of them.  Those three are `_class_zero_witness`.  Only a
+    candidate that passes all three builds the half class table and the
+    full matrix, for the triangle, and its witness is the least z whose
+    class, read off that table, X_0 + X_i misses.
+    """
+    _require_generator(N, m, x)
+    witness = _class_zero_witness(N, m, pow(x, m, N))
+    if witness is not None:
+        return CheckReport(witness)
 
     # m = 1 never gets here: X_0 is then the whole group and fails
     # sum_free at a = 2.

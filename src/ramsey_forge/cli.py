@@ -30,6 +30,7 @@ from .search import (
     records_from_csv,
     records_from_jsonl,
     search_all,
+    sum_free_cutoff,
     sweep_nonexistence,
 )
 
@@ -216,6 +217,13 @@ def _cmd_sweep(args) -> int:
             f"sweep m={args.m}: {result.record.status}, "
             f"{result.record.candidates_tested} candidates, "
             f"{len(result.failures)} failures logged",
+            file=sys.stderr,
+        )
+        bound, cutoff = result.record.bound_used, sum_free_cutoff(args.m)
+        reach = "reaches" if bound >= cutoff else "stops below"
+        print(
+            f"sweep m={args.m}: bound {bound} {reach} the sum-free "
+            f"cut-off {cutoff}, past which no prime modulus can pass",
             file=sys.stderr,
         )
     return 0

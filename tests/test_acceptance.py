@@ -27,7 +27,7 @@ from ramsey_forge.oracle import (
     relation_algebra_check,
 )
 from ramsey_forge.partition import build_partition
-from ramsey_forge.search import ramsey_recursive_bound, records_from_csv
+from ramsey_forge.search import ramsey_recursive_bound, records_from_csv, sum_free_cutoff
 from reference import BitmaskPartition, ResidueSet, check_symmetric, sumset
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "build" / "acceptance_report.txt"
@@ -149,12 +149,14 @@ def test_criterion_04_eight_colors_exhausted(tmp_path, capsys):
         and row[4] == "109602"
         and int(row[5]) > 0
         and digest == FAILURE_LOG_SHA256[8]
+        and sum_free_cutoff(8) <= int(row[4])
         and in_budget
     )
     _report(
-        4, "m=8 nonexistence to 109602", ok,
-        f"status={row[1]}, candidates={row[5]}, log sha256 {digest[:12]}, "
-        f"{dt:.1f}s (budget 60s)",
+        4, "m=8 nonexistence", ok,
+        f"status={row[1]}, candidates={row[5]}, log sha256 {digest[:12]}; the "
+        f"bound {row[4]} reaches the sum-free cut-off {sum_free_cutoff(8)}, so no "
+        f"prime modulus exists, {dt:.1f}s (budget 60s)",
     )
 
 
@@ -173,12 +175,14 @@ def test_criterion_05_thirteen_colors_exhausted(tmp_path, capsys):
         and row[4] == "190997"
         and int(row[5]) > 0
         and digest == FAILURE_LOG_SHA256[13]
+        and sum_free_cutoff(13) <= int(row[4])
         and in_budget
     )
     _report(
-        5, "m=13 nonexistence to 190997", ok,
-        f"status={row[1]}, candidates={row[5]}, log sha256 {digest[:12]}, "
-        f"{dt:.1f}s (budget 120s)",
+        5, "m=13 nonexistence", ok,
+        f"status={row[1]}, candidates={row[5]}, log sha256 {digest[:12]}; the "
+        f"bound {row[4]} reaches the sum-free cut-off {sum_free_cutoff(13)}, so no "
+        f"prime modulus exists, {dt:.1f}s (budget 120s)",
     )
 
 

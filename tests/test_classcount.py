@@ -366,3 +366,27 @@ def test_counting_report_rejects_bad_inputs():
         counting_report(13, 3, 13)
     with pytest.raises(ValueError):
         counting_report(13, 3, 5)
+
+
+@pytest.mark.parametrize("walk_only", [False, True])
+def test_class_zero_witness_needs_no_generator_to_3000(monkeypatch, walk_only):
+    # the first three conditions depend on (N, m) alone: without a
+    # generator the helper gives the report's witness whenever the report
+    # fails on one of them, and None exactly when it passes or fails on
+    # the triangle, as at (2441, 20) and (2843, 29); with the scan made
+    # to give up, every case walks the class 0 that y^m generates
+    if walk_only:
+        monkeypatch.setattr(classcount, "_sum_free_scan", lambda *args: None)
+    outcomes = Counter()
+    for N in sieve_primes(3000).tolist()[1:]:
+        x = smallest_generator(N)
+        for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
+            rep = counting_report(N, m, x)
+            witness = classcount._class_zero_witness(N, m, None)
+            if rep.failed_condition in (None, "triangle"):
+                assert witness is None, (N, m)
+            else:
+                assert witness == rep.witness, (N, m)
+            outcomes[rep.failed_condition] += 1
+    assert outcomes["triangle"] == 2
+    assert set(outcomes) == {None, "sum_free", "cyclic_basis", "triangle"}

@@ -238,6 +238,12 @@ def test_sweep_explicit_bound(capsys):
     assert lines[0] == SEARCH_CSV_HEADER
     assert lines[1].startswith("3,exhausted,,,12,1,")
     assert "sweep m=3: exhausted, 1 candidates, 1 failures logged" in err
+    assert "sweep m=3: bound 12 stops below the sum-free cut-off 16," in err
+    code, _, err = run_cli(capsys, "sweep", "--m", "3", "--bound", "16", "--workers", "1")
+    assert code == 0
+    assert "sweep m=3: bound 16 reaches the sum-free cut-off 16," in err
+    code, _, err = run_cli(capsys, "sweep", "--m", "3", "--bound", "16", "-q")
+    assert code == 0 and err == ""
 
 
 def test_sweep_failures_file(tmp_path, capsys):

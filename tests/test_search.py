@@ -6,21 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramsey_forge import search
+from ramsey_forge.catalog import load_catalog
+from ramsey_forge.checker import check_candidate
 from ramsey_forge.classcount import MAX_COUNTING_MODULUS
-from ramsey_forge.numbertheory import sieve_primes
+from ramsey_forge.numbertheory import sieve_primes, smallest_generator
 from ramsey_forge.search import (
     SEARCH_CSV_HEADER,
     SearchRecord,
     candidate_primes,
     check_bound,
+    cyclic_basis_floor,
     default_sweep_bound,
     ramsey_recursive_bound,
     records_from_csv,
     records_from_jsonl,
     search_all,
     search_min_modulus,
+    sum_free_cutoff,
     sweep_nonexistence,
 )
+from reference import bitmask_partition, bitset_report
 
 
 @pytest.fixture(scope="module")
@@ -117,9 +123,6 @@ def test_search_known_minimums():
 def test_search_skips_smaller_qualifying_primes():
     # minimality is baked into candidate order: every qualifying prime
     # below the hit must fail its full check
-    from ramsey_forge.checker import check_candidate
-    from ramsey_forge.numbertheory import smallest_generator
-
     rec = search_min_modulus(5, 1_000)
     assert rec.N == 71
     smaller = candidate_primes(5, 0, 70)
@@ -133,6 +136,109 @@ def test_search_exhausted():
     assert rec.status == "exhausted"
     assert rec.N is None and rec.x is None
     assert rec.candidates_tested == len(candidate_primes(8, 0, 20_000))
+
+
+def _plain_generator(N):
+    """Least y generating Z_N^*, by trial division of N - 1 and builtin pow."""
+    n, qs, q = N - 1, [], 2
+    while q * q <= n:
+        if n % q == 0:
+            qs.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    qs += [n] if n > 1 else []
+    y = 2
+    while any(pow(y, (N - 1) // q, N) == 1 for q in qs):
+        y += 1
+    return y
+
+
+def test_sum_free_cutoff_values():
+    assert [sum_free_cutoff(m) for m in (2, 3, 8, 13)] == [5, 16, 1809, 17499]
+    for m in range(2, 401):
+        c, N = (m - 1) * (m - 2), sum_free_cutoff(m)
+        # the largest N with N <= 3m - 1 or (N - 3m + 1)^2 <= c^2 N
+        assert (N - 3 * m + 1) ** 2 <= c * c * N, m
+        assert (N - 3 * m + 2) ** 2 > c * c * (N + 1), m
+        assert cyclic_basis_floor(m) <= N, m
+        assert (N < 2_500_000) == (m <= 41), m
+
+
+def test_cyclotomic_identity_bounds_t00_to_5000():
+    # m^2 T[0][0] = N - 3m + 1 + E with |E| <= (m - 1)(m - 2) sqrt(N),
+    # E = 0 at m = 2; T[0][0] counts a in X_0 with 1 - a in X_0, and X_0
+    # is walked as the powers of y^m with builtin pow and multiplication
+    pairs = 0
+    for N in sieve_primes(5_000).tolist()[1:]:
+        y = _plain_generator(N)
+        for m in range(2, N):
+            k = (N - 1) // m
+            if (N - 1) % m or k % 2:
+                continue
+            g, z, X0 = pow(y, m, N), 1, set()
+            for _ in range(k):
+                X0.add(z)
+                z = z * g % N
+            T00 = sum((1 - a) % N in X0 for a in X0)
+            E, c = m * m * T00 - (N - 3 * m + 1), (m - 1) * (m - 2)
+            assert E * E <= c * c * N, (N, m)
+            assert m != 2 or E == 0, N
+            assert T00 > 0 or N <= sum_free_cutoff(m), (N, m)
+            pairs += 1
+    assert pairs > 3000
+
+
+def test_every_candidate_below_the_floor_fails_the_reference():
+    # k < 2(m - 1) leaves X_0 + X_0 too few sums to be Z_N \ X_0
+    tested = 0
+    for m in range(2, 41):
+        for N in candidate_primes(m, 0, cyclic_basis_floor(m) - 1):
+            rep = bitset_report(bitmask_partition(N, m, smallest_generator(N)))
+            assert rep.failed_condition in ("sum_free", "cyclic_basis"), (N, m)
+            tested += 1
+    assert tested > 200
+
+
+def test_catalog_rows_lie_in_the_window():
+    rows = load_catalog()
+    assert all(cyclic_basis_floor(r.m) <= r.N <= sum_free_cutoff(r.m) for r in rows)
+    # the floor is sharp: two rows meet it exactly
+    assert [(r.m, r.N) for r in rows if r.N == cyclic_basis_floor(r.m)] == [(2, 5), (3, 13)]
+
+
+def test_search_checks_only_the_window(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called outside the first three conditions")
+
+    engine, checked = search._class_zero_witness, []
+
+    def counted(N, m, g):
+        checked.append(N)
+        return engine(N, m, g)
+
+    monkeypatch.setattr(search, "_class_zero_witness", counted)
+    monkeypatch.setattr(search, "smallest_generator", refuse)
+    monkeypatch.setattr(search, "check_candidate", refuse)
+    rec = search_min_modulus(8, 2_500_000)
+    cands = candidate_primes(8, 0, 2_500_000)
+    assert (rec.status, rec.candidates_tested) == ("exhausted", len(cands))
+    assert checked == [N for N in cands if 113 <= N <= 1809]
+
+
+def test_search_matches_a_check_of_every_candidate():
+    # the window and the lazy generator change no field but the time
+    bound = 20_000
+    for m in range(2, 31):
+        cands = candidate_primes(m, 0, bound)
+        brute = ("exhausted", None, None, bound, len(cands))
+        for tested, N in enumerate(cands, 1):
+            x = smallest_generator(N)
+            if check_candidate(N, m, x).overall:
+                brute = ("found", N, x, bound, tested)
+                break
+        rec = search_min_modulus(m, bound)
+        assert (rec.status, rec.N, rec.x, rec.bound_used, rec.candidates_tested) == brute, m
 
 
 def test_search_rejects_small_m():
