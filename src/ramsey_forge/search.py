@@ -20,9 +20,11 @@ failure, a sweep logs it.
 
 A search checks only the window `cyclic_basis_floor(m)` <= N <=
 `sum_free_cutoff(m)`, outside which no candidate can pass (see those
-two for the proofs).  The candidates outside it still count as tested,
-so a record reads the same as if each had been checked.  A sweep checks
-and logs every candidate.
+two for the proofs), and sieves only up to the cut-off.  The candidates
+outside it still count as tested, so a record reads the same as if each
+had been checked; an exhausted search counts those past the cut-off in
+fixed segments (`SEGMENT`), so no bound below 2^31 costs more than a
+megabyte of flags.  A sweep checks and logs every candidate.
 
 Two runs with the same (m, bound) produce identical records whatever
 the worker count: `in_order` yields them in job order, as plain `map`
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -59,6 +61,10 @@ SEARCH_CSV_HEADER = "m,status,N,x,bound_used,candidates_tested,elapsed_ms"
 DEFAULT_SEARCH_BOUND = 2_000_000
 
 BLOCK_SIZE = 64
+
+# Progression terms per sieve when an exhausted search counts the
+# candidates past the window: a 1 MiB flag array at every bound.
+SEGMENT = 1 << 20
 
 ProgressFn = Callable[[int, int, int], None]
 
@@ -242,6 +248,15 @@ def candidate_primes(m: int, lo: int, hi: int) -> list[int]:
     return (first + step * np.flatnonzero(is_prime)).tolist()
 
 
+def _count_candidates(m: int, lo: int, hi: int) -> int:
+    """len(candidate_primes(m, lo, hi)), sieved `SEGMENT` terms at a
+    time, so a bound near 2^31 never holds its whole progression."""
+    span = 2 * m * SEGMENT
+    return sum(
+        len(candidate_primes(m, a, min(a + span, hi))) for a in range(lo, hi, span)
+    )
+
+
 def _evaluate_block(
     Ns: Sequence[int], m: int
 ) -> list[tuple[int, int | None, Witness | None]]:
@@ -290,13 +305,12 @@ def _scan_candidates(
 ) -> tuple[SearchRecord, tuple[CandidateFailure, ...]]:
     t0 = time.perf_counter()
     check_bound(bound)
-    candidates = candidate_primes(m, 0, bound)
-    lo, hi = 0, len(candidates)
-    if not collect_failures:
-        # every candidate outside the window fails; they count as tested
-        lo = bisect_left(candidates, cyclic_basis_floor(m))
-        hi = bisect_right(candidates, sum_free_cutoff(m))
-    checked = candidates[lo:hi]
+    # every candidate outside the window fails; a search lists none past
+    # it, and counts them as tested only if it finds nothing
+    top = bound if collect_failures else min(bound, sum_free_cutoff(m))
+    candidates = candidate_primes(m, 0, top)
+    lo = 0 if collect_failures else bisect_left(candidates, cyclic_basis_floor(m))
+    checked = candidates[lo:]
     if len(checked) <= BLOCK_SIZE:
         workers = 1
     size = BLOCK_SIZE if workers > 1 else 1
@@ -321,7 +335,8 @@ def _scan_candidates(
                 failures.append(CandidateFailure(N, witness))
             if progress and done % BLOCK_SIZE == 0:
                 progress(m, N, done)
-    return finish("exhausted", None, None, len(candidates)), tuple(failures)
+    tested = len(candidates) + _count_candidates(m, top, bound)
+    return finish("exhausted", None, None, tested), tuple(failures)
 
 
 def search_min_modulus(m: int, bound: int = DEFAULT_SEARCH_BOUND) -> SearchRecord:

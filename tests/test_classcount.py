@@ -390,3 +390,32 @@ def test_class_zero_witness_needs_no_generator_to_3000(monkeypatch, walk_only):
             outcomes[rep.failed_condition] += 1
     assert outcomes["triangle"] == 2
     assert set(outcomes) == {None, "sum_free", "cyclic_basis", "triangle"}
+
+
+# Triangle failures past N = 10,000, each the first candidate of its m
+# to pass the first three conditions with its least generator x.
+LARGE_TRIANGLE_FAILURES = [
+    (13633, 48, 5), (27091, 63, 2), (28211, 65, 2),
+    (42701, 70, 3), (45893, 77, 2), (45553, 78, 5),
+]
+
+
+@pytest.mark.parametrize("N, m, x", LARGE_TRIANGLE_FAILURES)
+def test_triangle_failure_witness_by_builtin_pow(N, m, x):
+    h = class_index_table(N, m, x)
+    T = pair_sum_class_matrix(h, m)
+    assert np.array_equal(T, full_pair_sum_class_matrix(full_class_index_table(N, m, x), m))
+    rep = counting_report(N, m, x)
+    assert rep.flags() == (True, True, True, False)
+    (zero, i), z = rep.witness.classes, rep.witness.residue
+    assert zero == 0 and 0 < i < m
+    # a + b = z with a in X_0 and b in X_i iff ((z - a) x^-i)^k = 1
+    k = (N - 1) // m
+    X0 = [pow(x, m * j, N) for j in range(k)]
+    shift = pow(x, -i, N)
+
+    def covered(r):
+        return any(pow((r - a) * shift % N, k, N) == 1 for a in X0)
+
+    assert not covered(z)
+    assert all(covered(r) for r in range(1, z))

@@ -226,6 +226,35 @@ def test_search_checks_only_the_window(monkeypatch):
     assert checked == [N for N in cands if 113 <= N <= 1809]
 
 
+def test_found_search_sieves_only_to_the_cut_off():
+    # N = 5 is the first candidate and the cut-off at m = 2; sieving the
+    # whole progression to 10^8 would trace about 160 MB
+    tracemalloc.start()
+    try:
+        rec = search_min_modulus(2, 10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert (rec.status, rec.N, rec.x, rec.bound_used, rec.candidates_tested) == (
+        "found", 5, 2, 10**8, 1
+    )
+    rec = search_min_modulus(8, 10**6)
+    assert rec.status == "exhausted"
+    assert rec.candidates_tested == len(candidate_primes(8, 0, 10**6))
+
+
+@pytest.mark.parametrize("segment", [1, 7, 1000])
+def test_exhausted_count_is_the_same_in_any_segment(monkeypatch, segment):
+    # the candidates past the cut-off are counted a segment at a time;
+    # no candidate may be lost or counted twice at a segment's edge
+    monkeypatch.setattr(search, "SEGMENT", segment)
+    for m, bound in [(8, 30_000), (13, 40_000), (8, sum_free_cutoff(8) + 1)]:
+        rec = search_min_modulus(m, bound)
+        assert rec.status == "exhausted"
+        assert rec.candidates_tested == len(candidate_primes(m, 0, bound)), (m, bound)
+
+
 def test_search_matches_a_check_of_every_candidate():
     # the window and the lazy generator change no field but the time
     bound = 20_000
