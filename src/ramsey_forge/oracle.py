@@ -1,28 +1,28 @@
 """Definition-level reference checks.
 
-Everything in this module computes straight from the definitions: full
-sumsets from all |A| * |B| pairs, explicit boolean relation matrices,
-no subgroup shortcuts, no class-0 reductions.  naive_check forms each
-sumset as numpy outer sums into a boolean mask over Z_N, and forms a
-class's self-sumset only when the checks reach that class, in check
-order.  It is the yardstick the fast checker is tested against, so it
-deliberately shares nothing with it beyond numpy.  Both partition
-types hold each class as an ascending int64 array, so every check here
-reads `.N` and `.classes` from either without converting.  The small
-scan's jobs are its prime moduli, run in N order by `search.in_order`.
+Everything in this module computes straight from the definitions: every
+pair of a sumset is tried, relations are explicit boolean matrices, and
+there are no subgroup shortcuts or class-0 reductions.  It is the
+yardstick the fast checker is tested against, so it deliberately shares
+nothing with it beyond numpy.  Both partition types hold each class as
+an ascending int64 array, read alike through `.N` and `.classes`.
+naive_check tests each of the first three conditions on all classes at
+once, from one array of class labels.  The small scan's jobs are its
+prime moduli, run in N order by `search.in_order`; each reads every m's
+classes off one walk of builtin products, sharing no kernel with the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .checker import check_candidate
 from .numbertheory import sieve_primes, smallest_generator
-from .partition import CyclotomicPartition, build_partition
+from .partition import CyclotomicPartition, partition_from_walk
 from .report import CheckReport, Witness
 from .search import in_order
 
@@ -31,6 +31,9 @@ RELATION_CAP = 200
 # 16 rows keep each block of outer sums under 128 KiB for every class
 # the scan meets (k < 1000); 64-row blocks raised its peak RSS by 0.6 MiB.
 SUMSET_ROWS = 16
+# Pairs (c, a) per block of the sum-free test and the self-sumsets: 2^14
+# int64s are 128 KiB, and an early sum-free failure costs one block.
+PAIR_BUDGET = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,37 +74,65 @@ def _sums(A: np.ndarray, B: np.ndarray, N: int) -> np.ndarray:
     return mask
 
 
+def _pair_blocks(listed: np.ndarray, owner: np.ndarray, padded: np.ndarray):
+    """Yield (start, c, a, i) per block: the listed elements from `start`
+    as a column c, their classes i, and a, the rows of `padded` for them."""
+    rows = max(1, PAIR_BUDGET // padded.shape[1])
+    for start in range(0, len(listed), rows):
+        i = owner[start : start + rows]
+        yield start, listed[start : start + rows, None], padded[i], i
+
+
+def _self_sumsets(listed, owner, padded, N: int) -> np.ndarray:
+    """Row i is the mask of X_i + X_i over Z_N, set at flat index i N + a + b."""
+    sums = np.zeros(len(padded) * N, dtype=bool)
+    for _, c, a, i in _pair_blocks(listed, owner, padded):
+        s = c + a
+        s -= N * (s >= N)
+        sums[s + (i * N)[:, None]] = True
+    return sums.reshape(len(padded), N)
+
+
 def naive_check(p: LabeledPartition | CyclotomicPartition) -> CheckReport:
     """All four conditions on every class and every pair, by definition.
 
     Same flag order and short-circuiting as the fast checker so the two
     reports can be compared flag for flag.  Witnesses point at the
-    first violation in (class indices, residue) order.
+    first violation in (class indices, residue) order, the order of
+    `listed`; `label` maps each residue to its class, and 0 to -1.  c in
+    X_i is a + b in X_i iff label[c - a] = i for some a in X_i, tried in
+    blocks of PAIR_BUDGET pairs (c, a) to stop at the first hit; `padded`
+    fills each class up with its own greatest element, adding no pair.
+    Sum-free X_i + X_i misses X_i: X_i is a basis iff it has N - |X_i|.
     """
     N = p.N
     arrays = p.classes  # each ascending
+    sizes = np.array([len(a) for a in arrays])
+    listed = np.concatenate(arrays)
+    owner = np.repeat(np.arange(len(arrays)), sizes)
+    label = np.full(N, -1)
+    label[listed] = owner
 
-    for i, a in enumerate(arrays):
-        member = np.zeros(N, dtype=bool)
-        member[a] = True
-        bad = a[~member[(N - a) % N]]
-        if bad.size:
-            return CheckReport(Witness("symmetric", (i,), int(bad[0])))
+    asymmetric = label[N - listed] != owner
+    if asymmetric.any():
+        j = asymmetric.argmax()
+        return CheckReport(Witness("symmetric", (int(owner[j]),), int(listed[j])))
 
-    self_sums = []
-    for i, a in enumerate(arrays):
-        s = _sums(a, a, N)
-        self_sums.append(s)
-        bad = a[s[a]]
-        if bad.size:
-            return CheckReport(Witness("sum_free", (i, i), int(bad[0])))
+    ends = np.cumsum(sizes)[:, None]
+    padded = listed[np.minimum(ends - sizes[:, None] + np.arange(sizes.max()), ends - 1)]
+    for start, c, a, i in _pair_blocks(listed, owner, padded):
+        # c - a > -N, and a negative index reads label[N + c - a]
+        hit = (label[c - a] == i[:, None]).any(axis=1)
+        if hit.any():
+            j = start + hit.argmax()
+            return CheckReport(Witness("sum_free", (int(owner[j]),) * 2, int(listed[j])))
 
-    for i, (a, s) in enumerate(zip(arrays, self_sums)):
-        expected = np.ones(N, dtype=bool)
-        expected[a] = False
-        diff = s != expected
-        if diff.any():
-            return CheckReport(Witness("cyclic_basis", (i,), int(diff.argmax())))
+    sums = _self_sumsets(listed, owner, padded, N)
+    short = np.count_nonzero(sums, axis=1) != N - sizes
+    if short.any():
+        i = int(short.argmax())
+        missed = (label != i) & ~sums[i]
+        return CheckReport(Witness("cyclic_basis", (i,), int(missed.argmax())))
 
     target = np.ones(N, dtype=bool)
     target[0] = False
@@ -275,21 +306,14 @@ class ScanRecord:
         }
 
 
-def _divisors(n: int) -> list[int]:
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
-
-
 def _scan_modulus(N: int) -> list[ScanRecord]:
     """The scan's records for the prime N, in m order."""
     x = smallest_generator(N)
+    walk = np.array(list(accumulate(repeat(x, N - 2), lambda z, _: z * x % N, initial=1)))
     return [
-        ScanRecord(N, m, x, check_candidate(N, m, x), naive_check(build_partition(N, m, x)))
-        for m in _divisors((N - 1) // 2)[1:]  # every m >= 2 with 2m | N - 1
+        ScanRecord(N, m, x, check_candidate(N, m, x), naive_check(partition_from_walk(walk, m)))
+        for m in range(2, N // 2 + 1)
+        if (N - 1) % (2 * m) == 0
     ]
 
 

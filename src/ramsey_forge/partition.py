@@ -57,8 +57,13 @@ def build_partition(N: int, m: int, x: int) -> CyclotomicPartition:
     """
     if m < 1 or N % (2 * m) != 1:
         raise ValueError(f"need N = 1 (mod 2m); got N={N}, m={m}")
-    # A generator's N - 1 powers are distinct, so the columns of its walk
-    # tile Z_N \ {0}; class_columns raises for any x that is no generator.
-    rows = np.sort(class_columns(N, m, x).T)
+    return partition_from_walk(class_columns(N, m, x).ravel(), m)
+
+
+def partition_from_walk(walk: np.ndarray, m: int) -> CyclotomicPartition:
+    """The m classes of a generator's walk x^0..x^(N-2), N = len(walk) + 1,
+    unchecked: its powers are distinct, so the columns tile Z_N \\ {0}."""
+    N = len(walk) + 1
+    rows = np.sort(walk.reshape(-1, m).T)
     rows.setflags(write=False)
-    return CyclotomicPartition(N, m, (N - 1) // m, x % N, tuple(rows))
+    return CyclotomicPartition(N, m, (N - 1) // m, int(walk[1]), tuple(rows))

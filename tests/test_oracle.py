@@ -188,6 +188,16 @@ def test_scan_of_one_modulus_starts_no_pool(no_pool):
     assert [(r.N, r.m) for r in exhaustive_small_scan(6, workers=2)] == [(5, 2)]
 
 
+def test_scan_partitions_share_no_kernel_with_the_engine(monkeypatch):
+    expected = exhaustive_small_scan(200, workers=1)
+
+    def unreachable(*args):
+        raise AssertionError("the scan walked its classes with class_columns")
+
+    monkeypatch.setattr("ramsey_forge.partition.class_columns", unreachable)
+    assert exhaustive_small_scan(200, workers=1) == expected
+
+
 def test_scan_rejects_oversized_request():
     with pytest.raises(ValueError):
         exhaustive_small_scan(2001)
@@ -223,19 +233,23 @@ _TRIANGLE_ON_1_2 = [
 ]
 
 
-@pytest.mark.parametrize(
-    "N, sets, witness",
-    [
-        # classes of unequal sizes: all sum-free, but {4} is no basis
-        (8, [[4], [1, 7], [2, 6], [3, 5]], Witness("cyclic_basis", (0,), 1)),
-        (10, [[5], [1, 9], [2, 3, 4, 6, 7, 8]], Witness("sum_free", (2, 2), 2)),
-        # an asymmetric class after a symmetric one
-        (7, [[1, 6], [2, 3], [4, 5]], Witness("symmetric", (1,), 2)),
-        # class 0 sum-free, class 1 not
-        (7, [[3, 4], [1, 2, 5, 6]], Witness("sum_free", (1, 1), 1)),
-        (41, _TRIANGLE_ON_1_2, Witness("triangle", (1, 2), 7)),
-    ],
-)
+_LABELED_CASES = [
+    # classes of unequal sizes: all sum-free, but {4} is no basis
+    (8, [[4], [1, 7], [2, 6], [3, 5]], Witness("cyclic_basis", (0,), 1)),
+    (10, [[5], [1, 9], [2, 3, 4, 6, 7, 8]], Witness("sum_free", (2, 2), 2)),
+    # an asymmetric class after a symmetric one
+    (7, [[1, 6], [2, 3], [4, 5]], Witness("symmetric", (1,), 2)),
+    # class 0 sum-free, class 1 not
+    (7, [[3, 4], [1, 2, 5, 6]], Witness("sum_free", (1, 1), 1)),
+    (41, _TRIANGLE_ON_1_2, Witness("triangle", (1, 2), 7)),
+    # all sum-free; X_0 + X_0 misses exactly one residue, 5
+    (10, [[1, 3, 7, 9], [2, 8], [4, 5, 6]], Witness("cyclic_basis", (0,), 5)),
+    # class 0 a basis, class 1 not: its first missing residue is in class 0
+    (8, [[1, 4, 7], [2, 6], [3, 5]], Witness("cyclic_basis", (1,), 1)),
+]
+
+
+@pytest.mark.parametrize("N, sets, witness", _LABELED_CASES)
 def test_naive_check_equals_definitional_check_on_labeled_partitions(N, sets, witness):
     p = LabeledPartition.from_sets(N, sets)
     rep = naive_check(p)
@@ -253,23 +267,84 @@ def test_sums_equals_pairwise_sumset_across_chunk_sizes():
         assert set(np.flatnonzero(mask).tolist()) == {(a + b) % N for a in A for b in B}
 
 
+def _block_budgets(kmax):
+    # the budget counts pairs, so budgets below 2 kmax give blocks of one
+    # listed element, and (kmax - 1) kmax .. (kmax + 1) kmax give blocks
+    # that straddle the boundaries between classes
+    edges = {1, kmax - 1, kmax, kmax + 1, (kmax - 1) * kmax, kmax * kmax, (kmax + 1) * kmax}
+    return sorted(edges - {0})
+
+
+@pytest.mark.parametrize("N, sets, witness", _LABELED_CASES)
+def test_naive_check_equals_definitional_check_across_block_sizes(monkeypatch, N, sets, witness):
+    p = LabeledPartition.from_sets(N, sets)
+    for budget in _block_budgets(max(map(len, sets))):
+        monkeypatch.setattr(oracle, "PAIR_BUDGET", budget)
+        assert naive_check(p) == _definitional_check(p), budget
+
+
+@st.composite
+def _random_partitions(draw):
+    """A partition of Z_N \\ {0}, N <= 60, into 1..8 classes; half of
+    them symmetric, built from the pairs {a, N - a}, so that the draws
+    get past the symmetry test."""
+    N = draw(st.integers(2, 60))
+    symmetric = draw(st.booleans())
+    if symmetric:
+        units = [[a, N - a] if a != N - a else [a] for a in range(1, N // 2 + 1)]
+    else:
+        units = [[a] for a in range(1, N)]
+    m = draw(st.integers(1, min(8, len(units))))
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(units)
+    sets = [[] for _ in range(m)]
+    for n, unit in enumerate(units):
+        sets[n if n < m else rng.randrange(m)].extend(unit)
+    return LabeledPartition.from_sets(N, sets)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(p=_random_partitions(), data=st.data())
+def test_naive_check_equals_definitional_check_on_random_partitions(p, data):
+    kmax = max(map(len, p.classes))
+    budgets = [oracle.PAIR_BUDGET, *_block_budgets(kmax)]
+    budget = data.draw(st.sampled_from(budgets), label="budget")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "PAIR_BUDGET", budget)
+        assert naive_check(p) == _definitional_check(p)
+
+
 def test_naive_check_forms_self_sumsets_only_when_reached(monkeypatch):
-    formed = []
-    real = oracle._sums
+    blocks, formed = [], []
+    real_blocks, real_sumsets = oracle._pair_blocks, oracle._self_sumsets
 
-    def counting(A, B, N):
-        formed.append((len(A), len(B)))
-        return real(A, B, N)
+    def counting(*args):
+        for block in real_blocks(*args):
+            blocks.append(block[0])
+            yield block
 
-    monkeypatch.setattr(oracle, "_sums", counting)
-    # fails sum_free at class 0: one self-sumset, not m
-    assert naive_check(build_partition(29, 2, 2)).flags() == (True, False, None, None)
-    assert len(formed) == 1
-    # a cyclic-basis failure needs every class to pass sum_free first
-    formed.clear()
-    rep = naive_check(build_partition(13, 6, 2))
+    def recording(*args):
+        formed.append(real_sumsets(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(oracle, "_pair_blocks", counting)
+    monkeypatch.setattr(oracle, "_self_sumsets", recording)
+    # fails sum_free at class 0, on its first listed element 1: one block
+    # of pairs, even when each block holds one element, and no self-sumset
+    for budget in (oracle.PAIR_BUDGET, 14):
+        monkeypatch.setattr(oracle, "PAIR_BUDGET", budget)
+        blocks.clear()
+        assert naive_check(build_partition(29, 2, 2)).flags() == (True, False, None, None)
+        assert blocks == [0] and formed == []
+    # a cyclic-basis failure needs every class to pass sum_free first,
+    # then forms the self-sumsets of all 6 classes
+    p = build_partition(13, 6, 2)
+    rep = naive_check(p)
     assert rep.flags() == (True, True, False, None)
-    assert len(formed) == 6
+    assert len(formed) == 1 and formed[0].shape == (6, 13)
+    for sums, c in zip(formed[0], p.classes):
+        c = c.tolist()
+        assert set(np.flatnonzero(sums).tolist()) == {(a + b) % 13 for a in c for b in c}
 
 
 _SIEVE = sieve_primes(600)
