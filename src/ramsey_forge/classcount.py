@@ -47,15 +47,17 @@ The first three conditions thus depend on (N, m) alone, and
 given none, from the least y^m that generates it.  `counting_report`
 passes x^m, so every report walks the class 0 it always walked; a
 search passes none, and computes a generator of the whole group only
-for the few candidates that reach the triangle.
+for the few candidates that reach the triangle.  A search keeps no
+witness, so a cyclic-basis failure there is decided by a count alone.
 
 Every class-0 walk and the first block of the class table come from
 one kernel, `power_walk`, which lists g^0..g^(n-1) mod N by doubling:
 once the first L powers are known, multiplying them by g^L gives the
-next L.  That is about log2(n) vectorised passes and no per-element
-Python loop; the table's later blocks take the same step by g^B.  Each
-product of two residues stays below 2^62 for any modulus under 2^31, so
-int64 is exact; the kernel refuses larger moduli.
+next L, and squaring g^L gives the next multiplier.  After `WALK_HEAD`
+builtin products, that is about log2(n / WALK_HEAD) vectorised passes;
+the table's later blocks take the same step by g^B.  Each product of
+two residues stays below 2^62 for any modulus under 2^31, so int64 is
+exact; the kernel refuses larger moduli.
 
 The table's block step reduces z as z - (z // N) N rather than z % N:
 numpy divides int64 by a scalar with a multiply and a shift, where
@@ -94,6 +96,8 @@ BLOCK = 1 << 16
 # k/6; 4.8 ms at k = 300,000 against 5.3 ms for k/6 and 3.8 ms for k/8),
 # but the m = 8 and m = 13 sweeps ran no faster with k/6 than with k/4.
 SCAN_SHARE = 4
+# `power_walk`'s builtin head: a numpy pass over fewer powers costs more.
+WALK_HEAD = 32
 
 
 def _refuse_large_modulus(N: int) -> None:
@@ -108,14 +112,18 @@ def power_walk(g: int, n: int, N: int) -> np.ndarray:
     """
     _refuse_large_modulus(N)
     out = np.empty(n, dtype=np.int64)
-    out[:1] = 1
-    filled = 1
+    filled, z = min(n, WALK_HEAD), 1
+    for i in range(filled):
+        out[i] = z
+        z = z * g % N
+    # z = g^filled, and each full pass doubles filled
     while filled < n:
         take = min(filled, n - filled)
-        head = out[filled : filled + take]
-        np.multiply(out[:take], pow(g, filled, N), out=head)
-        np.remainder(head, N, out=head)
+        seg = out[filled : filled + take]
+        np.multiply(out[:take], z, out=seg)
+        np.remainder(seg, N, out=seg)
         filled += take
+        z = z * z % N
     return out
 
 
@@ -251,9 +259,12 @@ def _sum_free_scan(N: int, m: int, budget: int) -> int | None:
     return None
 
 
-def _class_zero_witness(N: int, m: int, g: int | None) -> Witness | None:
+def _class_zero_witness(
+    N: int, m: int, g: int | None, explain: bool = True
+) -> Witness | None:
     """The witness to the first of symmetry, sum-free and cyclic basis
-    that (N, m) breaks, or None if it meets all three.
+    that (N, m) breaks, or None if it meets all three.  Unless `explain`,
+    a cyclic-basis failure has residue None, sparing the scan of Z_N.
 
     None of the three needs a generator of the whole group: X_0 is the
     subgroup of order k whatever the generator, and each witness is read
@@ -282,30 +293,31 @@ def _class_zero_witness(N: int, m: int, g: int | None) -> Witness | None:
             y += 1
         g = pow(y, m, N)
     X = power_walk(g, k, N)
-    # 1 - 1/a = -(1 - a)/a with -1 and a in X_0, so a and 1/a give 1 - a
-    # the same character, and g^1..g^(k/2) meet one of each pair
-    one_minus = N + 1 - X[1 : k // 2 + 1]
-    X.sort()
-    step = np.flatnonzero(np.diff(X) == 1)
+    # N < 2^31, so the sorted copy fits int32, which sorts faster
+    S = X.astype(np.int32)
+    S.sort()
+    step = np.flatnonzero(S[1:] - S[:-1] == 1)
     if step.size:
-        return Witness("sum_free", (0, 0), int(X[step[0] + 1]))
+        return Witness("sum_free", (0, 0), int(S[step[0] + 1]))
 
     # z lies in class j iff z^k = (x^k)^j, so the classes that row 0 of T
     # reaches, T[0][j] = #{a in X_0 \ {1} : 1 - a in X_j}, are those of
     # the distinct characters (1 - a)^k; X_0 being sum-free, none is 1.
     # z of class j is missed by X_0 + X_0 exactly when T[d][d] vanishes
-    # for d = -j mod m, and T[d][d] = T[0][j].
-    reached = _power_mod(one_minus, k, N)
+    # for d = -j mod m, and T[d][d] = T[0][j].  1 - 1/a = -(1 - a)/a
+    # with -1 and a in X_0, so a and 1/a give 1 - a the same character,
+    # and g^1..g^(k/2) meet one of each pair.
+    reached = _power_mod(N + 1 - X[1 : k // 2 + 1], k, N)
     reached.sort()
-    reached = reached[np.diff(reached, prepend=0) != 0]
-    if reached.size < m - 1:
-        def missed(z):
-            zk = _power_mod(z, k, N)
-            i = np.minimum(np.searchsorted(reached, zk), reached.size - 1)
-            return (zk != 1) & (reached[i] != zk)
+    if np.count_nonzero(reached[1:] != reached[:-1]) + 1 == m - 1:
+        return None
 
-        return Witness("cyclic_basis", (0,), _first_hit(N, missed))
-    return None
+    def missed(z):
+        zk = _power_mod(z, k, N)
+        i = np.minimum(np.searchsorted(reached, zk), reached.size - 1)
+        return (zk != 1) & (reached[i] != zk)
+
+    return Witness("cyclic_basis", (0,), _first_hit(N, missed) if explain else None)
 
 
 def counting_report(N: int, m: int, x: int) -> CheckReport:

@@ -15,8 +15,8 @@ against m^2, and otherwise, like the second, from the k elements of
 class 0, never building the O(N) class table
 (`classcount._class_zero_witness`).  So a candidate gets a generator,
 and the strict `check_candidate`, only once it has passed those three;
-only those few pay for a table.  A search drops the witness of each
-failure, a sweep logs it.
+only those few pay for a table.  A search, which keeps no witness,
+computes none past its decision; a sweep logs every one.
 
 A search checks only the window `cyclic_basis_floor(m)` <= N <=
 `sum_free_cutoff(m)`, outside which no candidate can pass (see those
@@ -258,15 +258,16 @@ def _count_candidates(m: int, lo: int, hi: int) -> int:
 
 
 def _evaluate_block(
-    Ns: Sequence[int], m: int
+    Ns: Sequence[int], m: int, explain: bool
 ) -> list[tuple[int, int | None, Witness | None]]:
     """(N, x, witness) for each modulus of a block; no witness is a pass.
     x, the least generator, is computed only for a candidate that
-    passes the first three conditions, and is None for the others."""
+    passes the first three conditions, and is None for the others.
+    Unless `explain`, a cyclic-basis witness has residue None."""
     out = []
     for N in Ns:
         x = None
-        witness = _class_zero_witness(N, m, None)
+        witness = _class_zero_witness(N, m, None, explain)
         if witness is None:
             x = smallest_generator(N)
             witness = check_candidate(N, m, x).witness
@@ -278,13 +279,15 @@ def in_order(fn: Callable, jobs: Iterable, workers: int) -> Iterator:
     """fn(job) for each job, yielded in job order.  One worker is plain
     `map`.  More run on a pool at most workers * 4 jobs past the one
     being waited for; closing the generator, or an error in its
-    consumer, cancels every job that has not started."""
+    consumer, cancels every job that has not started and returns at
+    once; a pool whose jobs were all consumed joins its workers, lest
+    the interpreter's exit hook race their teardown."""
     if workers <= 1:
         yield from map(fn, jobs)
         return
     pool = ProcessPoolExecutor(max_workers=workers)
+    window: deque = deque()
     try:
-        window: deque = deque()
         for job in jobs:
             window.append(pool.submit(fn, job))
             if len(window) > workers * 4:
@@ -292,7 +295,7 @@ def in_order(fn: Callable, jobs: Iterable, workers: int) -> Iterator:
         while window:
             yield window.popleft().result()
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=not window, cancel_futures=True)
 
 
 def _scan_candidates(
@@ -315,7 +318,7 @@ def _scan_candidates(
         workers = 1
     size = BLOCK_SIZE if workers > 1 else 1
     blocks = in_order(
-        partial(_evaluate_block, m=m),
+        partial(_evaluate_block, m=m, explain=collect_failures),
         (checked[i : i + size] for i in range(0, len(checked), size)),
         workers,
     )

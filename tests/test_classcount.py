@@ -15,6 +15,7 @@ from ramsey_forge.classcount import (
 )
 from ramsey_forge.numbertheory import sieve_primes, smallest_generator
 from ramsey_forge.partition import build_partition
+from ramsey_forge.report import Witness
 from ramsey_forge.search import candidate_primes
 from reference import (
     full_class_index_table,
@@ -73,9 +74,11 @@ def test_class_table_matches_sequential_walk():
 
 
 def test_power_walk_lists_successive_powers():
-    # lengths around the doubling steps, and products of residues just
-    # under 2^31 that int64 must still hold exactly
-    for g, n, N in [(2, 0, 13), (2, 1, 13), (2, 12, 13), (3, 7, 97), (5, 33, 97),
+    # lengths around the builtin head and the doubling steps, and
+    # products of residues just under 2^31 that int64 must still hold
+    for g, n, N in [(2, 0, 13), (2, 1, 13), (2, 12, 13), (3, 7, 97), (5, 32, 97),
+                    (5, 33, 97), (3, 63, 95801), (3, 64, 95801), (3, 65, 95801),
+                    (7, 128, 2**31 - 1), (7, 129, 2**31 - 1),
                     (3, 1000, 95801), (7, 1025, 2**31 - 1)]:
         assert power_walk(g, n, N).tolist() == [pow(g, e, N) for e in range(n)], (g, n, N)
 
@@ -387,9 +390,38 @@ def test_class_zero_witness_needs_no_generator_to_3000(monkeypatch, walk_only):
                 assert witness is None, (N, m)
             else:
                 assert witness == rep.witness, (N, m)
+            # unexplained, only a cyclic_basis failure loses its residue
+            quiet = classcount._class_zero_witness(N, m, None, explain=False)
+            if rep.failed_condition == "cyclic_basis":
+                witness = Witness("cyclic_basis", (0,), None)
+            assert quiet == witness, (N, m)
             outcomes[rep.failed_condition] += 1
     assert outcomes["triangle"] == 2
     assert set(outcomes) == {None, "sum_free", "cyclic_basis", "triangle"}
+
+
+@pytest.mark.parametrize("m,k,condition,residue", [
+    (1_549_411, 1386, "sum_free", 634_005_912),
+    (7_110_873, 302, "cyclic_basis", 3),
+    (11_545_611, 186, "sum_free", 2),
+])
+def test_class_zero_witness_at_the_top_of_the_range(m, k, condition, residue):
+    # N = 2^31 - 1, the largest modulus: the sorted walk must hold
+    # residues up to N - 1 exactly.  Builtin pow only in the reference:
+    # X_0 is the powers of 7^m (7 generates), and a sum_free witness is
+    # the least a with a - 1 and a both in X_0
+    N = 2**31 - 1
+    assert m * k == N - 1
+    X0 = sorted(pow(7, m * j, N) for j in range(k))
+    found = set(X0)
+    pairs = [a for a in X0 if a - 1 in found]
+    if condition == "sum_free":
+        assert pairs[:1] == [residue]
+    else:
+        assert not pairs
+        assert least_cyclic_basis_miss(N, m, 7) == residue
+    expected = Witness(condition, (0, 0) if condition == "sum_free" else (0,), residue)
+    assert classcount._class_zero_witness(N, m, None) == expected
 
 
 # Triangle failures past N = 10,000, each the first candidate of its m

@@ -1,12 +1,15 @@
 import json
+import multiprocessing
+import operator
 import tracemalloc
 from collections import Counter
+from concurrent.futures import process
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramsey_forge import search
+from ramsey_forge import classcount, search
 from ramsey_forge.catalog import load_catalog
 from ramsey_forge.checker import check_candidate
 from ramsey_forge.classcount import MAX_COUNTING_MODULUS
@@ -213,9 +216,9 @@ def test_search_checks_only_the_window(monkeypatch):
 
     engine, checked = search._class_zero_witness, []
 
-    def counted(N, m, g):
+    def counted(N, *args):
         checked.append(N)
-        return engine(N, m, g)
+        return engine(N, *args)
 
     monkeypatch.setattr(search, "_class_zero_witness", counted)
     monkeypatch.setattr(search, "smallest_generator", refuse)
@@ -224,6 +227,34 @@ def test_search_checks_only_the_window(monkeypatch):
     cands = candidate_primes(8, 0, 2_500_000)
     assert (rec.status, rec.candidates_tested) == ("exhausted", len(cands))
     assert checked == [N for N in cands if 113 <= N <= 1809]
+
+
+def test_search_never_scans_for_a_cyclic_basis_witness(monkeypatch):
+    # a search keeps no witness, so it never scans Z_N for the residue
+    # X_0 + X_0 misses; these windows hold 141 cyclic_basis failures and
+    # no triangle failure, the scan's only other caller.  A sweep logs
+    # each witness, so its 4 cyclic_basis failures at m = 13 still scan.
+    def refuse(*args):
+        raise AssertionError("scanned for a witness")
+
+    finder, scanned = classcount._first_hit, []
+    monkeypatch.setattr(classcount, "_first_hit", refuse)
+    rows = {r.m: r for r in load_catalog()}
+    for m in (10, 21, 60, 100, 200, 400):
+        rec, N = search_min_modulus(m, 2_500_000), rows[m].N
+        assert (rec.status, rec.N, rec.x, rec.candidates_tested) == (
+            "found", N, smallest_generator(N), len(candidate_primes(m, 0, N))
+        ), m
+
+    def counted(N, hit):
+        scanned.append(N)
+        return finder(N, hit)
+
+    monkeypatch.setattr(classcount, "_first_hit", counted)
+    failures = sweep_nonexistence(13, 190_997).failures
+    missed = [f for f in failures if f.failed_check == "cyclic_basis"]
+    assert scanned == [f.N for f in missed] and len(missed) == 4
+    assert all(type(f.witness.residue) is int for f in failures)
 
 
 def test_found_search_sieves_only_to_the_cut_off():
@@ -418,6 +449,16 @@ def test_consumer_error_cancels_queued_jobs(counting_pool):
     with pytest.raises(RuntimeError, match="consumer failed"):
         search_all(2, 60, 2_000, workers=2, on_record=stop)
     assert 0 < len(counting_pool) <= 2 * 4 + 1
+
+
+def test_consumed_pool_leaves_no_worker_behind():
+    # a pool whose jobs were all consumed joins its workers and its
+    # manager thread, so the interpreter's exit hook has nothing to wake
+    children = set(multiprocessing.active_children())
+    wakeups = set(process._threads_wakeups)
+    assert list(search.in_order(operator.neg, range(20), 2)) == [-j for j in range(20)]
+    assert set(multiprocessing.active_children()) <= children
+    assert set(process._threads_wakeups) <= wakeups
 
 
 def test_search_all_rejects_bad_range():
