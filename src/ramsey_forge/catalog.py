@@ -75,6 +75,8 @@ def load_catalog(text: str | None = None) -> list[CatalogRow]:
         if len(parts) != 3:
             raise ValueError(f"catalog line {idx}: expected 3 fields, got {ln!r}")
         m, N, x = (int(p) for p in parts)
+        if m < 1:
+            raise ValueError(f"catalog line {idx}: color count {m} below 1")
         if rows and m <= rows[-1].m:
             raise ValueError(f"catalog line {idx}: m={m} not ascending")
         if N % (2 * m) != 1:

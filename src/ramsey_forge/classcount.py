@@ -43,12 +43,12 @@ run over it in blocks of `BLOCK` residues, so neither allocates an
 O(N) int64 array.
 
 The first three conditions thus depend on (N, m) alone, and
-`_class_zero_witness` decides them from any generator g of X_0, or,
-given none, from the least y^m that generates it.  `counting_report`
-passes x^m, so every report walks the class 0 it always walked; a
-search passes none, and computes a generator of the whole group only
-for the few candidates that reach the triangle.  A search keeps no
-witness, so a cyclic-basis failure there is decided by a count alone.
+`_class_zero_witness` decides them for every caller the same way, from
+no generator of the whole group: X_0 is walked as the powers of y^m,
+y = `smallest_generator(N, k)`.  `counting_report` and a search make
+that one call, and a search computes a generator of the whole group
+only for the few candidates that reach the triangle.  A search keeps
+no witness, so a cyclic-basis failure there is decided by a count alone.
 
 Every class-0 walk and the first block of the class table come from
 one kernel, `power_walk`, which lists g^0..g^(n-1) mod N by doubling:
@@ -78,7 +78,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .numbertheory import MAX_COUNTING_MODULUS, is_generator, prime_factors
+from .numbertheory import MAX_COUNTING_MODULUS, is_generator, smallest_generator
 from .report import CheckReport, Witness
 
 # Residues per vectorised pass of the table and matrix builders: 512 KiB
@@ -128,19 +128,14 @@ def power_walk(g: int, n: int, N: int) -> np.ndarray:
 
 
 def _require_generator(N: int, m: int, x: int) -> None:
-    """Raise unless m divides N - 1 and x has order N - 1 mod N.
-
-    Lucas's test: x^(N-1) = 1 makes the order of x divide N - 1, and
-    x^((N-1)/q) != 1 for every prime q dividing N - 1 makes it exactly
-    N - 1.  No unit mod a composite N has that order, so composite
-    moduli are rejected too.
-    """
+    """Raise unless m divides N - 1 and x has order N - 1 mod N, which
+    `is_generator` decides; composite moduli are rejected too."""
     if N < 3:
         raise ValueError(f"modulus must be an odd prime, got {N}")
     _refuse_large_modulus(N)
     if m < 1 or (N - 1) % m != 0:
         raise ValueError(f"class count {m} does not divide {N - 1}")
-    if pow(x, N - 1, N) != 1 or not is_generator(x, N):
+    if not is_generator(x, N):
         raise ValueError(f"x={x} is not a generator mod {N}: its order is below {N - 1}")
 
 
@@ -259,9 +254,7 @@ def _sum_free_scan(N: int, m: int, budget: int) -> int | None:
     return None
 
 
-def _class_zero_witness(
-    N: int, m: int, g: int | None, explain: bool = True
-) -> Witness | None:
+def _class_zero_witness(N: int, m: int, explain: bool = True) -> Witness | None:
     """The witness to the first of symmetry, sum-free and cyclic basis
     that (N, m) breaks, or None if it meets all three.  Unless `explain`,
     a cyclic-basis failure has residue None, sparing the scan of Z_N.
@@ -269,12 +262,10 @@ def _class_zero_witness(
     None of the three needs a generator of the whole group: X_0 is the
     subgroup of order k whatever the generator, and each witness is read
     off the set X_0 and the characters z^k.  The scan needs nothing but
-    k.  A candidate it leaves open walks g^0..g^(k-1), so g must
-    generate X_0.  Given None, the walk takes g = y^m for the least
-    y >= 2 with y^((N-1)/q) != 1 for every prime q dividing k, that is
-    (y^m)^(k/q) != 1: those q are the only primes that the order of
-    y^m can lose, so only a walked candidate factors anything.  The
-    caller checks that N is prime and that m divides N - 1.
+    k.  A candidate it leaves open walks g^0..g^(k-1) for g = y^m,
+    y = `smallest_generator(N, k)`, which has order k, so only a walked
+    candidate factors anything.  The caller checks that N is prime and
+    that m divides N - 1.
     """
     k = (N - 1) // m
     if k % 2:
@@ -286,13 +277,7 @@ def _class_zero_witness(
     a = _sum_free_scan(N, m, k // SCAN_SHARE)
     if a is not None:
         return Witness("sum_free", (0, 0), a)
-    if g is None:
-        exps = [(N - 1) // q for q in prime_factors(k)]
-        y = 2
-        while any(pow(y, e, N) == 1 for e in exps):
-            y += 1
-        g = pow(y, m, N)
-    X = power_walk(g, k, N)
+    X = power_walk(pow(smallest_generator(N, k), m, N), k, N)
     # N < 2^31, so the sorted copy fits int32, which sorts faster
     S = X.astype(np.int32)
     S.sort()
@@ -326,7 +311,8 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     Same flag order, short-circuiting, and witness conventions as the
     bit-mask reference the tests hold it to.  Symmetry is the parity of
     k.  The sum-free witness comes from `_sum_free_scan`; a candidate it
-    leaves open walks class 0, as the powers of x^m, and sorts it once.
+    leaves open walks class 0, as the powers of y^m, y =
+    `smallest_generator(N, k)` whatever x is, and sorts it once.
     Two consecutive elements of sorted X_0 are the witness's a - 1 and
     a.  The cyclic basis counts the distinct characters (1 - a)^k over
     X_0 \\ {1}, raised for the first half of the walk only, since a and
@@ -338,7 +324,7 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     that table, X_0 + X_i misses.
     """
     _require_generator(N, m, x)
-    witness = _class_zero_witness(N, m, pow(x, m, N))
+    witness = _class_zero_witness(N, m)
     if witness is not None:
         return CheckReport(witness)
 

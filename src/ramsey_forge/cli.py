@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 from . import catalog as catalog_mod
 from . import oracle as oracle_mod
@@ -132,10 +132,32 @@ def _emit(sink: IO[str], line: str) -> None:
     sink.flush()
 
 
+def _writer(sink: IO[str], fmt: str, header: str, csv_row: Callable) -> Callable:
+    """The emit function for --format: CSV writes `header` now and
+    csv_row(r) per record, JSON one compact to_dict() line per record."""
+    if fmt == "csv":
+        _emit(sink, header)
+        return lambda r: _emit(sink, csv_row(r))
+    return lambda r: _emit(sink, json.dumps(r.to_dict(), separators=(",", ":")))
+
+
+def _verify_csv_row(v) -> str:
+    cells = (v.generator_ok, *v.report.flags(), v.report.overall, v.minimal_ok, v.passed)
+    return f"{v.row.m},{v.row.N},{v.row.x},{','.join(map(_flag, cells))},{v.elapsed_ms:.3f}"
+
+
+def _scan_csv_row(r) -> str:
+    cells = (*r.fast.flags(), r.fast.overall, r.naive.overall, r.agree)
+    return f"{r.N},{r.m},{r.x},{','.join(map(_flag, cells))}"
+
+
 def _cmd_search(args) -> int:
     lo, hi = args.m
     if lo < 2:
         print(f"error: search needs m >= 2, got {lo}", file=sys.stderr)
+        return 1
+    if args.resume and not args.out:
+        print("error: --resume needs --out", file=sys.stderr)
         return 1
     try:
         workers = _resolve_workers(args.workers)
@@ -146,7 +168,7 @@ def _cmd_search(args) -> int:
     progress = _Progress("search", args.progress_interval, args.quiet)
 
     resume_records: list[SearchRecord] = []
-    if args.resume and args.out and os.path.isfile(args.out):
+    if args.resume and os.path.isfile(args.out):
         with open(args.out, encoding="ascii") as f:
             text = f.read()
         # records are written a line at a time and flushed, so an
@@ -166,11 +188,7 @@ def _cmd_search(args) -> int:
     # records stream straight into --out, which --resume reads back
     out = _create(args.out, args.out) if args.out else nullcontext(sys.stdout)
     with out as sink:
-        if args.format == "csv":
-            _emit(sink, SEARCH_CSV_HEADER)
-            emit = lambda r: _emit(sink, r.to_csv_row())
-        else:
-            emit = lambda r: _emit(sink, json.dumps(r.to_dict(), separators=(",", ":")))
+        emit = _writer(sink, args.format, SEARCH_CSV_HEADER, SearchRecord.to_csv_row)
         records = search_all(
             lo, hi, args.bound,
             workers=workers,
@@ -202,11 +220,8 @@ def _cmd_sweep(args) -> int:
             result = sweep_nonexistence(
                 args.m, args.bound, workers=workers, progress=progress
             )
-            if args.format == "csv":
-                _emit(sink, SEARCH_CSV_HEADER)
-                _emit(sink, result.record.to_csv_row())
-            else:
-                _emit(sink, json.dumps(result.record.to_dict(), separators=(",", ":")))
+            emit = _writer(sink, args.format, SEARCH_CSV_HEADER, SearchRecord.to_csv_row)
+            emit(result.record)
             if log:
                 log.writelines(fail.to_json() + "\n" for fail in result.failures)
     except ValueError as e:
@@ -250,16 +265,9 @@ def _cmd_verify(args) -> int:
         results = catalog_mod.verify_rows(
             rows, minimality=args.minimality, workers=workers, progress=progress
         )
-        if args.format == "csv":
-            _emit(sink, VERIFY_CSV_HEADER)
-            for v in results:
-                cells = (v.generator_ok, *v.report.flags(), v.report.overall,
-                         v.minimal_ok, v.passed)
-                _emit(sink, f"{v.row.m},{v.row.N},{v.row.x},"
-                            f"{','.join(map(_flag, cells))},{v.elapsed_ms:.3f}")
-        else:
-            for v in results:
-                _emit(sink, json.dumps(v.to_dict(), separators=(",", ":")))
+        emit = _writer(sink, args.format, VERIFY_CSV_HEADER, _verify_csv_row)
+        for v in results:
+            emit(v)
 
     failed = [v for v in results if not v.passed]
     if failed:
@@ -297,14 +305,9 @@ def _cmd_scan(args) -> int:
         workers = _resolve_workers(args.workers)
         with _document(args.out) as sink:
             records = oracle_mod.exhaustive_small_scan(args.nmax, workers=workers)
-            if args.format == "csv":
-                _emit(sink, SCAN_CSV_HEADER)
-                for r in records:
-                    cells = (*r.fast.flags(), r.fast.overall, r.naive.overall, r.agree)
-                    _emit(sink, f"{r.N},{r.m},{r.x},{','.join(map(_flag, cells))}")
-            else:
-                for r in records:
-                    _emit(sink, json.dumps(r.to_dict(), separators=(",", ":")))
+            emit = _writer(sink, args.format, SCAN_CSV_HEADER, _scan_csv_row)
+            for r in records:
+                emit(r)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

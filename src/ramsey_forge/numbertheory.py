@@ -68,25 +68,31 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 
 def is_generator(x: int, N: int) -> bool:
-    """True iff x generates the full multiplicative group mod prime N:
-    x^((N-1)/p) != 1 for every distinct prime p of N - 1."""
-    if x % N == 0:
+    """True iff x generates the full multiplicative group mod N, by
+    Lucas's test: x^(N-1) = 1 makes the order of x divide N - 1, and
+    x^((N-1)/p) != 1 for every distinct prime p of N - 1 makes it exactly
+    N - 1.  No unit mod a composite N has that order, so it is then False."""
+    if pow(x, N - 1, N) != 1:
         return False
     return all(pow(x, (N - 1) // p, N) != 1 for p in prime_factors(N - 1))
 
 
-def smallest_generator(N: int) -> int:
-    """Least x >= 2 generating the multiplicative group mod prime N.
+def smallest_generator(N: int, k: int | None = None) -> int:
+    """Least y >= 2 with y^((N-1)/q) != 1 for every prime q dividing k,
+    for prime N and k dividing N - 1, by default N - 1.
 
-    A prime modulus always has one, so this terminates.
+    Then y^((N-1)/k) has order exactly k: its order divides k, and
+    (y^((N-1)/k))^(k/q) = y^((N-1)/q) != 1 is all it can lose.  With k =
+    N - 1 that is the least generator of the group mod N.  A prime
+    modulus always has one, so this terminates.
     """
     if N < 2:
         raise ValueError(f"modulus must be a prime >= 2, got {N}")
     if N == 2:
         return 1
-    exps = [(N - 1) // p for p in prime_factors(N - 1)]
-    x = 2
-    while True:
-        if all(pow(x, e, N) != 1 for e in exps):
-            return x
-        x += 1
+    k = N - 1 if k is None else k
+    exps = [(N - 1) // q for q in prime_factors(k)] if k > 1 else []
+    y = 2
+    while any(pow(y, e, N) == 1 for e in exps):
+        y += 1
+    return y

@@ -28,11 +28,9 @@ from .search import in_order
 
 ORACLE_SCAN_MAX = 2000
 RELATION_CAP = 200
-# 16 rows keep each block of outer sums under 128 KiB for every class
-# the scan meets (k < 1000); 64-row blocks raised its peak RSS by 0.6 MiB.
-SUMSET_ROWS = 16
-# Pairs (c, a) per block of the sum-free test and the self-sumsets: 2^14
-# int64s are 128 KiB, and an early sum-free failure costs one block.
+# Pairs per block of the sum-free test, the self-sumsets and the
+# triangle's sumsets: 2^14 int64s are 128 KiB, and an early sum-free
+# failure costs one block.
 PAIR_BUDGET = 2**14
 
 
@@ -67,10 +65,11 @@ class LabeledPartition:
 
 def _sums(A: np.ndarray, B: np.ndarray, N: int) -> np.ndarray:
     """Mask over Z_N of A + B from all |A| * |B| pairs, as outer sums of
-    SUMSET_ROWS elements of A at a time to keep the temporaries small."""
+    about PAIR_BUDGET pairs at a time to keep the temporaries small."""
     mask = np.zeros(N, dtype=bool)
-    for start in range(0, len(A), SUMSET_ROWS):
-        mask[np.add.outer(A[start : start + SUMSET_ROWS], B) % N] = True
+    rows = max(1, PAIR_BUDGET // len(B))
+    for start in range(0, len(A), rows):
+        mask[np.add.outer(A[start : start + rows], B) % N] = True
     return mask
 
 

@@ -9,14 +9,15 @@ primes up to sqrt(bound); no sieve of the whole range 0..bound is built.
 
 The economics: nearly every candidate dies on the sum-free condition,
 and most of the rest on the cyclic basis.  Both, like symmetry, depend
-on (N, m) alone, and the counting engine decides the first by scanning
-a few hundred residues for two consecutive m-th powers when k is large
-against m^2, and otherwise, like the second, from the k elements of
-class 0, never building the O(N) class table
-(`classcount._class_zero_witness`).  So a candidate gets a generator,
-and the strict `check_candidate`, only once it has passed those three;
-only those few pay for a table.  A search, which keeps no witness,
-computes none past its decision; a sweep logs every one.
+on (N, m) alone, and each candidate makes the same call that every
+report makes, `classcount._class_zero_witness(N, m)`: it scans a few
+hundred residues for two consecutive m-th powers when k is large
+against m^2, and otherwise, like the cyclic basis, reads the k elements
+of class 0, never building the O(N) class table.  So a candidate gets
+a generator of the whole group, and the strict `check_candidate`, only
+once it has passed those three; only those few pay for a table.  A
+search, which keeps no witness, computes none past its decision; a
+sweep logs every one.
 
 A search checks only the window `cyclic_basis_floor(m)` <= N <=
 `sum_free_cutoff(m)`, outside which no candidate can pass (see those
@@ -267,7 +268,7 @@ def _evaluate_block(
     out = []
     for N in Ns:
         x = None
-        witness = _class_zero_witness(N, m, None, explain)
+        witness = _class_zero_witness(N, m, explain)
         if witness is None:
             x = smallest_generator(N)
             witness = check_candidate(N, m, x).witness

@@ -74,6 +74,12 @@ def test_catalog_rejects_bad_text():
         load_catalog(good + "2,5,2\n")  # coverage: one row is not 2..400
 
 
+def test_catalog_refuses_a_color_count_below_one():
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="^catalog line 2: "):
+            load_catalog(f"{CATALOG_CSV_HEADER}\n{m},5,2")
+
+
 def test_verify_row_first_entry():
     v = verify_row(CatalogRow(2, 5, 2), minimality=True)
     assert v.generator_ok

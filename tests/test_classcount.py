@@ -13,7 +13,7 @@ from ramsey_forge.classcount import (
     pair_sum_class_matrix,
     power_walk,
 )
-from ramsey_forge.numbertheory import sieve_primes, smallest_generator
+from ramsey_forge.numbertheory import is_generator, sieve_primes, smallest_generator
 from ramsey_forge.partition import build_partition
 from ramsey_forge.report import Witness
 from ramsey_forge.search import candidate_primes
@@ -385,19 +385,33 @@ def test_class_zero_witness_needs_no_generator_to_3000(monkeypatch, walk_only):
         x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             rep = counting_report(N, m, x)
-            witness = classcount._class_zero_witness(N, m, None)
+            witness = classcount._class_zero_witness(N, m)
             if rep.failed_condition in (None, "triangle"):
                 assert witness is None, (N, m)
             else:
                 assert witness == rep.witness, (N, m)
             # unexplained, only a cyclic_basis failure loses its residue
-            quiet = classcount._class_zero_witness(N, m, None, explain=False)
+            quiet = classcount._class_zero_witness(N, m, explain=False)
             if rep.failed_condition == "cyclic_basis":
                 witness = Witness("cyclic_basis", (0,), None)
             assert quiet == witness, (N, m)
             outcomes[rep.failed_condition] += 1
     assert outcomes["triangle"] == 2
     assert set(outcomes) == {None, "sum_free", "cyclic_basis", "triangle"}
+
+
+def test_class_zero_verdict_is_the_same_for_any_generator():
+    # class 0 is the subgroup of m-th powers, so the least and the
+    # largest generator give the same flags through the cyclic basis,
+    # and the same witness on a failure of one of those three
+    for N in sieve_primes(2000).tolist()[2:]:
+        least = smallest_generator(N)
+        largest = next(g for g in range(N - 1, 1, -1) if is_generator(g, N))
+        for m in [m for m in range(2, N // 2 + 1) if (N - 1) % (2 * m) == 0]:
+            a, b = counting_report(N, m, least), counting_report(N, m, largest)
+            assert a.flags()[:3] == b.flags()[:3], (N, m)
+            if a.failed_condition not in (None, "triangle"):
+                assert a.witness == b.witness, (N, m)
 
 
 @pytest.mark.parametrize("m,k,condition,residue", [
@@ -421,7 +435,7 @@ def test_class_zero_witness_at_the_top_of_the_range(m, k, condition, residue):
         assert not pairs
         assert least_cyclic_basis_miss(N, m, 7) == residue
     expected = Witness(condition, (0, 0) if condition == "sum_free" else (0,), residue)
-    assert classcount._class_zero_witness(N, m, None) == expected
+    assert classcount._class_zero_witness(N, m) == expected
 
 
 # Triangle failures past N = 10,000, each the first candidate of its m

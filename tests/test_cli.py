@@ -150,6 +150,17 @@ def test_search_resume_rejects_corrupt_file(tmp_path, capsys):
     assert "cannot resume" in err
 
 
+def test_search_resume_needs_out(capsys, monkeypatch):
+    # without --out there is nothing to resume from: refused before any
+    # work, rather than start the search over
+    def unreachable(*args, **kwargs):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(cli, "search_all", unreachable)
+    code, out, err = run_cli(capsys, "search", "--m", "2..3", "--bound", "100", "--resume")
+    assert (code, out, err) == (1, "", "error: --resume needs --out\n")
+
+
 def records_without_elapsed(text, fmt):
     if fmt == "csv":
         return strip_elapsed(text)

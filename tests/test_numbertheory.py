@@ -126,3 +126,35 @@ def test_smallest_generator_generates_full_cycle_all_primes_to_10000():
             t = t * x % N
         assert len(seen) == N - 1, N
         assert t == 1, N
+
+
+def walk_order(g, N):
+    """The multiplicative order of the unit g mod N, by a plain walk."""
+    order, t = 1, g % N
+    while t != 1:
+        t = t * g % N
+        order += 1
+    return order
+
+
+def test_smallest_generator_of_each_subgroup_all_primes_to_2000():
+    # y = smallest_generator(N, k) is the least y >= 2 whose power
+    # y^((N-1)/k) generates the subgroup of order k
+    for N in sieve_primes(2000).tolist()[1:]:
+        for k in [d for d in range(1, N) if (N - 1) % d == 0]:
+            e = (N - 1) // k
+            y = smallest_generator(N, k)
+            assert walk_order(pow(y, e, N), N) == k, (N, k)
+            assert all(walk_order(pow(z, e, N), N) != k for z in range(2, y)), (N, k)
+        assert smallest_generator(N, N - 1) == smallest_generator(N)
+
+
+def test_is_generator_is_lucas_test_to_300():
+    # a composite N has no unit of order N - 1, so Fermat's x^(N-1) = 1
+    # fails first; on primes the verdict is the order walk's
+    assert not is_generator(3, 9) and not is_generator(2, 9)
+    primes = set(sieve_primes(300).tolist())
+    for N in range(3, 301):
+        for x in range(N):
+            expected = N in primes and x > 0 and walk_order(x, N) == N - 1
+            assert is_generator(x, N) == expected, (N, x)

@@ -257,14 +257,19 @@ def test_naive_check_equals_definitional_check_on_labeled_partitions(N, sets, wi
     assert rep.witness == witness
 
 
-def test_sums_equals_pairwise_sumset_across_chunk_sizes():
+def test_sums_equals_pairwise_sumset_across_chunk_sizes(monkeypatch):
+    # |B| = 3, so a budget of 3 r pairs gives blocks of r rows of A: 1,
+    # r - 1, r, r + 1 and all 200 rows, each against |A| of 1, r - 1, r,
+    # r + 1 and 200
     rng = random.Random(5)
-    N = 1009
-    for size in (1, oracle.SUMSET_ROWS - 1, oracle.SUMSET_ROWS, oracle.SUMSET_ROWS + 1, 200):
-        A = sorted(rng.sample(range(N), size))
-        B = sorted(rng.sample(range(N), 3))
-        mask = oracle._sums(np.array(A), np.array(B), N)
-        assert set(np.flatnonzero(mask).tolist()) == {(a + b) % N for a in A for b in B}
+    N, r = 1009, 16
+    for rows in (1, r - 1, r, r + 1, 200):
+        monkeypatch.setattr(oracle, "PAIR_BUDGET", 3 * rows)
+        for size in (1, r - 1, r, r + 1, 200):
+            A = sorted(rng.sample(range(N), size))
+            B = sorted(rng.sample(range(N), 3))
+            mask = oracle._sums(np.array(A), np.array(B), N)
+            assert set(np.flatnonzero(mask).tolist()) == {(a + b) % N for a in A for b in B}
 
 
 def _block_budgets(kmax):
