@@ -24,9 +24,21 @@ With k even, -1 lies in X_0, so T[0][0] counts the a with a - 1 and a
 both in X_0, that is both with z^k = 1.  The sum-free test scans
 a = 2, 3, ... for the least such a (`_sum_free_scan`); about one a in
 m^2 qualifies, so when k is large against m^2 the scan settles nearly
-every candidate long before a walk of class 0 would.  A candidate the
-scan leaves open walks class 0 and sorts it: the same a is the first
-element of sorted X_0 that follows its predecessor by exactly one.
+every candidate long before a walk of class 0 would.
+
+A candidate the scan leaves open walks half of class 0, with no
+generator of the whole group: g = y^m, y = `smallest_generator(N, k)`,
+has order k, so g^(k/2) = -1, and g^0..g^(k/2) folded by z -> min(z,
+N - z) lists X_0 within [1, H], H = (N - 1) / 2.  Sorted, its first
+element one above its predecessor is the least a: a pair (a - 1, a)
+above H negates to the smaller (N - a, N - a + 1), and (H, H + 1) =
+(H, -H) puts 2 = -1/H in X_0, so (1, 2) comes first unless N = 3.
+`_class_zero_witnesses` decides the first three conditions for every
+caller, one N or a search's block, whose open candidates walk as rows
+of one array, each with its own g and N, in groups of at most
+`GROUP_ROWS` rows and `BLOCK` residues, a longer row alone.  A row of
+smaller k walks on to its group's longest: that only repeats folded
+values, so it cannot create a step of one.
 
 T holds the cyclotomic numbers of order m.  With k even, Gauss's
 relations (i, j) = (j, i) = (-i, j - i) give T[d][d] = T[0][-d mod m]
@@ -42,22 +54,18 @@ lets both read only half the group (see `class_index_table`), and both
 run over it in blocks of `BLOCK` residues, so neither allocates an
 O(N) int64 array.
 
-The first three conditions thus depend on (N, m) alone, and
-`_class_zero_witness` decides them for every caller the same way, from
-no generator of the whole group: X_0 is walked as the powers of y^m,
-y = `smallest_generator(N, k)`.  `counting_report` and a search make
-that one call, and a search computes a generator of the whole group
-only for the few candidates that reach the triangle.  A search keeps
-no witness, so a cyclic-basis failure there is decided by a count alone.
+A search computes a generator of the whole group only for the few
+candidates that reach the triangle, and keeps no witness, so a
+cyclic-basis failure there is decided by a count alone.
 
 Every class-0 walk and the first block of the class table come from
 one kernel, `power_walk`, which lists g^0..g^(n-1) mod N by doubling:
 once the first L powers are known, multiplying them by g^L gives the
 next L, and squaring g^L gives the next multiplier.  After `WALK_HEAD`
 builtin products, that is about log2(n / WALK_HEAD) vectorised passes;
-the table's later blocks take the same step by g^B.  Each product of
-two residues stays below 2^62 for any modulus under 2^31, so int64 is
-exact; the kernel refuses larger moduli.
+rows double from g^0 alone.  The table's later blocks take the same
+step by g^B.  Each product of two residues stays below 2^62 for any
+modulus under 2^31, so int64 is exact; the kernel refuses larger moduli.
 
 The table's block step reduces z as z - (z // N) N rather than z % N:
 numpy divides int64 by a scalar with a multiply and a shift, where
@@ -74,7 +82,8 @@ only a triangle failure maps the zeros to classes and walks for z.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -98,6 +107,8 @@ BLOCK = 1 << 16
 SCAN_SHARE = 4
 # `power_walk`'s builtin head: a numpy pass over fewer powers costs more.
 WALK_HEAD = 32
+# Rows per group of class-0 walks, and candidates per serial search block.
+GROUP_ROWS = 16
 
 
 def _refuse_large_modulus(N: int) -> None:
@@ -105,22 +116,29 @@ def _refuse_large_modulus(N: int) -> None:
         raise ValueError(f"modulus {N} too large: need N < 2^31 = {MAX_COUNTING_MODULUS}")
 
 
-def power_walk(g: int, n: int, N: int) -> np.ndarray:
+def power_walk(g, n: int, N) -> np.ndarray:
     """g^0, g^1, ..., g^(n-1) mod N as int64: every list of successive
-    powers starts here.  Refuses moduli the int64 products cannot hold
-    before allocating anything.
-    """
-    _refuse_large_modulus(N)
-    out = np.empty(n, dtype=np.int64)
-    filled, z = min(n, WALK_HEAD), 1
-    for i in range(filled):
-        out[i] = z
-        z = z * g % N
+    powers starts here.  g and N are ints, or int64 columns of shape
+    (r, 1) that give row i the powers of g[i] mod N[i]; a builtin head
+    per row would cost more than the doubling passes it spares.  Refuses
+    moduli the int64 products cannot hold before allocating anything."""
+    if isinstance(g, np.ndarray):
+        _refuse_large_modulus(int(N.max()))
+        out = np.empty((len(g), n), dtype=np.int64)
+        out[:, :1] = 1
+        filled, z = min(n, 1), g
+    else:
+        _refuse_large_modulus(N)
+        out = np.empty(n, dtype=np.int64)
+        filled, z = min(n, WALK_HEAD), 1
+        for i in range(filled):
+            out[i] = z
+            z = z * g % N
     # z = g^filled, and each full pass doubles filled
     while filled < n:
         take = min(filled, n - filled)
-        seg = out[filled : filled + take]
-        np.multiply(out[:take], z, out=seg)
+        seg = out[..., filled : filled + take]
+        np.multiply(out[..., :take], z, out=seg)
         np.remainder(seg, N, out=seg)
         filled += take
         z = z * z % N
@@ -254,45 +272,67 @@ def _sum_free_scan(N: int, m: int, budget: int) -> int | None:
     return None
 
 
-def _class_zero_witness(N: int, m: int, explain: bool = True) -> Witness | None:
-    """The witness to the first of symmetry, sum-free and cyclic basis
-    that (N, m) breaks, or None if it meets all three.  Unless `explain`,
-    a cyclic-basis failure has residue None, sparing the scan of Z_N.
+def _class_zero_witnesses(Ns: Sequence[int], m: int, explain: bool = True) -> list[Witness | None]:
+    """For each N of Ns, the witness to the first of symmetry, sum-free
+    and cyclic basis that (N, m) breaks, or None if it meets all three;
+    unless `explain`, a cyclic-basis failure has residue None.  The
+    caller checks that each N is prime and that m divides N - 1."""
+    out: list[Witness | None] = []
+    for N in Ns:
+        k = (N - 1) // m
+        if k % 2:
+            # -1 = x^((N-1)/2) falls outside X_0, which makes negation
+            # move every class wholesale; the first failing element of
+            # class 0 is then simply its minimum, x^0 = 1.
+            out.append(Witness("symmetric", (0,), 1))
+            continue
+        a = _sum_free_scan(N, m, k // SCAN_SHARE)
+        out.append(None if a is None else Witness("sum_free", (0, 0), a))
+    walked = [N for N, w in zip(Ns, out) if w is None]
+    found: list[Witness | None] = []
+    while len(found) < len(walked):
+        rows = walked[len(found) : len(found) + GROUP_ROWS]
+        # a group walks its longest row; rows * walk grows along the rows
+        wide = list(accumulate([(N - 1) // m // 2 + 1 for N in rows], max))
+        r = max(1, sum(n * i <= BLOCK for i, n in enumerate(wide, 1)))
+        found += _walked_witnesses(rows[:r], m, wide[r - 1], explain)
+    decided = iter(found)
+    return [next(decided) if w is None else w for w in out]
 
-    None of the three needs a generator of the whole group: X_0 is the
-    subgroup of order k whatever the generator, and each witness is read
-    off the set X_0 and the characters z^k.  The scan needs nothing but
-    k.  A candidate it leaves open walks g^0..g^(k-1) for g = y^m,
-    y = `smallest_generator(N, k)`, which has order k, so only a walked
-    candidate factors anything.  The caller checks that N is prime and
-    that m divides N - 1.
-    """
+
+def _walked_witnesses(Ns: list[int], m: int, n: int, explain: bool) -> list[Witness | None]:
+    """`_class_zero_witnesses` for one group the scan left open, each
+    walking a row of n powers of g = y^m, n > each k/2."""
+    col = np.array(Ns, dtype=np.int64)[:, None]
+    g = np.array([pow(smallest_generator(N, (N - 1) // m), m, N) for N in Ns])[:, None]
+    # a single row takes the builtin head
+    X = power_walk(int(g[0, 0]), n, Ns[0])[None] if len(Ns) == 1 else power_walk(g, n, col)
+    # N < 2^31, so the folded copy fits int32, which sorts faster
+    S = np.minimum(X, col - X).astype(np.int32)
+    S.sort(axis=1)
+    step = S[:, 1:] - S[:, :-1] == 1
+    first = step.argmax(axis=1)
+    out: list[Witness | None] = []
+    for r, N in enumerate(Ns):
+        if step[r, first[r]]:
+            out.append(Witness("sum_free", (0, 0), int(S[r, first[r] + 1])))
+        elif S[r, -1] == N // 2:  # the pair (H, H + 1): N = 3
+            out.append(Witness("sum_free", (0, 0), N // 2 + 1))
+        else:
+            out.append(_character_witness(N, m, X[r, 1 : (N - 1) // m // 2 + 1], explain))
+    return out
+
+
+def _character_witness(N: int, m: int, half: np.ndarray, explain: bool) -> Witness | None:
+    """The cyclic-basis witness of a sum-free X_0, or None if it is a
+    cyclic basis, from half = g^1..g^(k/2).  Row 0 of T, T[0][j] =
+    #{a in X_0 \\ {1} : 1 - a in X_j}, reaches the classes j of the
+    distinct characters (1 - a)^k, none of them 1, and X_0 + X_0 misses
+    class j exactly when T[-j][-j] = T[0][j] vanishes.  1 - 1/a =
+    -(1 - a)/a with -1 and a in X_0, so a and 1/a share a character, and
+    half holds one of each pair."""
     k = (N - 1) // m
-    if k % 2:
-        # -1 = x^((N-1)/2) falls outside X_0, which makes negation move
-        # every class wholesale; the first failing element of class 0 is
-        # then simply its minimum, x^0 = 1.
-        return Witness("symmetric", (0,), 1)
-
-    a = _sum_free_scan(N, m, k // SCAN_SHARE)
-    if a is not None:
-        return Witness("sum_free", (0, 0), a)
-    X = power_walk(pow(smallest_generator(N, k), m, N), k, N)
-    # N < 2^31, so the sorted copy fits int32, which sorts faster
-    S = X.astype(np.int32)
-    S.sort()
-    step = np.flatnonzero(S[1:] - S[:-1] == 1)
-    if step.size:
-        return Witness("sum_free", (0, 0), int(S[step[0] + 1]))
-
-    # z lies in class j iff z^k = (x^k)^j, so the classes that row 0 of T
-    # reaches, T[0][j] = #{a in X_0 \ {1} : 1 - a in X_j}, are those of
-    # the distinct characters (1 - a)^k; X_0 being sum-free, none is 1.
-    # z of class j is missed by X_0 + X_0 exactly when T[d][d] vanishes
-    # for d = -j mod m, and T[d][d] = T[0][j].  1 - 1/a = -(1 - a)/a
-    # with -1 and a in X_0, so a and 1/a give 1 - a the same character,
-    # and g^1..g^(k/2) meet one of each pair.
-    reached = _power_mod(N + 1 - X[1 : k // 2 + 1], k, N)
+    reached = _power_mod(N + 1 - half, k, N)
     reached.sort()
     if np.count_nonzero(reached[1:] != reached[:-1]) + 1 == m - 1:
         return None
@@ -305,29 +345,10 @@ def _class_zero_witness(N: int, m: int, explain: bool = True) -> Witness | None:
     return Witness("cyclic_basis", (0,), _first_hit(N, missed) if explain else None)
 
 
-def counting_report(N: int, m: int, x: int) -> CheckReport:
-    """Full four-condition report for the construction (N, m, x).
-
-    Same flag order, short-circuiting, and witness conventions as the
-    bit-mask reference the tests hold it to.  Symmetry is the parity of
-    k.  The sum-free witness comes from `_sum_free_scan`; a candidate it
-    leaves open walks class 0, as the powers of y^m, y =
-    `smallest_generator(N, k)` whatever x is, and sorts it once.
-    Two consecutive elements of sorted X_0 are the witness's a - 1 and
-    a.  The cyclic basis counts the distinct characters (1 - a)^k over
-    X_0 \\ {1}, raised for the first half of the walk only, since a and
-    1/a share one; its witness is the least z whose z^k is neither 1 nor
-    one of them.  Those three are `_class_zero_witness`.  Only a
-    candidate that passes all three builds the half class table and the
-    full matrix, for the triangle.  It passes if T has no zero off its
-    diagonal; otherwise its witness is the least z whose class, read off
-    that table, X_0 + X_i misses.
-    """
-    _require_generator(N, m, x)
-    witness = _class_zero_witness(N, m)
-    if witness is not None:
-        return CheckReport(witness)
-
+def _triangle_witness(N: int, m: int, x: int) -> Witness | None:
+    """The triangle witness of (N, m, x), which meets the first three
+    conditions: None if T has no zero off its diagonal, else the least z
+    whose class, read off the half table, X_0 + X_i misses."""
     # m = 1 never gets here: X_0 is then the whole group and fails
     # sum_free at a = 2.
     h = class_index_table(N, m, x)
@@ -335,7 +356,7 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     # T[0][0] = 0 and the rest of the diagonal is positive, so the
     # triangle holds iff that is the only zero
     if np.count_nonzero(T) == m * m - 1:
-        return CheckReport()
+        return None
     # gap[p, i]: T[p][p + i] vanishes, so X_0 + X_i misses class -p
     p = np.arange(m)
     q = p[:, None] + p
@@ -345,4 +366,15 @@ def counting_report(N: int, m: int, x: int) -> CheckReport:
     wanted = np.zeros(m, dtype=bool)
     wanted[(m - np.flatnonzero(gap[:, i])) % m] = True
     z = _first_hit(N, lambda z: wanted[h[np.minimum(z, N - z)]])
-    return CheckReport(Witness("triangle", (0, i), z))
+    return Witness("triangle", (0, i), z)
+
+
+def counting_report(N: int, m: int, x: int) -> CheckReport:
+    """Full four-condition report for the construction (N, m, x), with
+    the flag order, short-circuiting and witness conventions of the
+    bit-mask reference the tests hold it to."""
+    _require_generator(N, m, x)
+    witness = _class_zero_witnesses([N], m)[0]
+    if witness is None:
+        witness = _triangle_witness(N, m, x)
+    return CheckReport(witness)

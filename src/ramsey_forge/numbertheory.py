@@ -71,10 +71,11 @@ def is_generator(x: int, N: int) -> bool:
     """True iff x generates the full multiplicative group mod N, by
     Lucas's test: x^(N-1) = 1 makes the order of x divide N - 1, and
     x^((N-1)/p) != 1 for every distinct prime p of N - 1 makes it exactly
-    N - 1.  No unit mod a composite N has that order, so it is then False."""
+    N - 1.  No unit mod a composite N has that order, so it is then False.
+    Mod 2, x = 1 generates the trivial group, as `smallest_generator` says."""
     if pow(x, N - 1, N) != 1:
         return False
-    return all(pow(x, (N - 1) // p, N) != 1 for p in prime_factors(N - 1))
+    return N == 2 or all(pow(x, (N - 1) // p, N) != 1 for p in prime_factors(N - 1))
 
 
 def smallest_generator(N: int, k: int | None = None) -> int:

@@ -9,15 +9,15 @@ primes up to sqrt(bound); no sieve of the whole range 0..bound is built.
 
 The economics: nearly every candidate dies on the sum-free condition,
 and most of the rest on the cyclic basis.  Both, like symmetry, depend
-on (N, m) alone, and each candidate makes the same call that every
-report makes, `classcount._class_zero_witness(N, m)`: it scans a few
-hundred residues for two consecutive m-th powers when k is large
-against m^2, and otherwise, like the cyclic basis, reads the k elements
-of class 0, never building the O(N) class table.  So a candidate gets
-a generator of the whole group, and the strict `check_candidate`, only
-once it has passed those three; only those few pay for a table.  A
-search, which keeps no witness, computes none past its decision; a
-sweep logs every one.
+on (N, m) alone, and a block of candidates, 16 on one worker and
+`BLOCK_SIZE` on the pool, makes the call every report makes,
+`classcount._class_zero_witnesses`: it scans a few hundred residues for
+two consecutive m-th powers when k is large against m^2, and otherwise
+walks half of class 0 for the block at once, never building the O(N)
+class table.  Only a candidate that passes those three gets a generator
+of the whole group and a table, for the triangle, and a block stops at
+its first pass, so no table is built past it.  A search, which keeps no
+witness, computes none past its decision; a sweep logs every one.
 
 A search checks only the window `cyclic_basis_floor(m)` <= N <=
 `sum_free_cutoff(m)`, outside which no candidate can pass (see those
@@ -52,8 +52,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .checker import check_candidate
-from .classcount import _class_zero_witness
+from .checker import check_candidate  # noqa: F401  (a binding perfbench's tracer wraps)
+from .classcount import GROUP_ROWS, _class_zero_witnesses, _triangle_witness
 from .numbertheory import MAX_COUNTING_MODULUS, sieve_primes, smallest_generator
 from .report import Witness
 
@@ -261,18 +261,19 @@ def _count_candidates(m: int, lo: int, hi: int) -> int:
 def _evaluate_block(
     Ns: Sequence[int], m: int, explain: bool
 ) -> list[tuple[int, int | None, Witness | None]]:
-    """(N, x, witness) for each modulus of a block; no witness is a pass.
-    x, the least generator, is computed only for a candidate that
-    passes the first three conditions, and is None for the others.
+    """(N, x, witness) for each modulus of a block up to its first pass,
+    which has no witness.  x, the least generator, is computed only for
+    a candidate that passes the first three conditions, else None.
     Unless `explain`, a cyclic-basis witness has residue None."""
     out = []
-    for N in Ns:
+    for N, witness in zip(Ns, _class_zero_witnesses(Ns, m, explain)):
         x = None
-        witness = _class_zero_witness(N, m, explain)
         if witness is None:
             x = smallest_generator(N)
-            witness = check_candidate(N, m, x).witness
+            witness = _triangle_witness(N, m, x)
         out.append((N, x, witness))
+        if witness is None:
+            break
     return out
 
 
@@ -317,7 +318,7 @@ def _scan_candidates(
     checked = candidates[lo:]
     if len(checked) <= BLOCK_SIZE:
         workers = 1
-    size = BLOCK_SIZE if workers > 1 else 1
+    size = BLOCK_SIZE if workers > 1 else GROUP_ROWS
     blocks = in_order(
         partial(_evaluate_block, m=m, explain=collect_failures),
         (checked[i : i + size] for i in range(0, len(checked), size)),

@@ -186,6 +186,17 @@ def test_criterion_05_thirteen_colors_exhausted(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("m", [8, 13])
+def test_serial_sweep_writes_the_pinned_log(tmp_path, capsys, m):
+    # criteria 4 and 5 run on the pool, whose blocks hold 64 candidates;
+    # one worker walks blocks of 16 and must log the same bytes
+    log = tmp_path / f"sweep{m}-failures.jsonl"
+    code = main(["sweep", "--m", str(m), "--workers", "1", "-q",
+                 "--out", str(tmp_path / "sweep.csv"), "--failures", str(log)])
+    assert code == 0
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == FAILURE_LOG_SHA256[m]
+
+
 def test_criterion_06_recursive_bounds(capsys):
     done = _timed(5.0)
     b8 = ramsey_recursive_bound(8)

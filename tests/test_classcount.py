@@ -385,19 +385,40 @@ def test_class_zero_witness_needs_no_generator_to_3000(monkeypatch, walk_only):
         x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             rep = counting_report(N, m, x)
-            witness = classcount._class_zero_witness(N, m)
+            witness = classcount._class_zero_witnesses([N], m)[0]
             if rep.failed_condition in (None, "triangle"):
                 assert witness is None, (N, m)
             else:
                 assert witness == rep.witness, (N, m)
             # unexplained, only a cyclic_basis failure loses its residue
-            quiet = classcount._class_zero_witness(N, m, explain=False)
+            quiet = classcount._class_zero_witnesses([N], m, explain=False)[0]
             if rep.failed_condition == "cyclic_basis":
                 witness = Witness("cyclic_basis", (0,), None)
             assert quiet == witness, (N, m)
             outcomes[rep.failed_condition] += 1
     assert outcomes["triangle"] == 2
     assert set(outcomes) == {None, "sum_free", "cyclic_basis", "triangle"}
+
+
+@pytest.mark.parametrize("explain", [True, False])
+@pytest.mark.parametrize("block", [classcount.BLOCK, 100])
+def test_class_zero_witnesses_of_a_run_match_each_n_alone_to_6000(monkeypatch, explain, block):
+    # runs of up to 16 consecutive candidates of one m, every prime
+    # N <= 6,000 and m | N - 1: rows of mixed k share a group, and with
+    # a block of 100 residues the groups split and long rows walk alone;
+    # m = 1 starts with N = 3, whose only sum-free witness is H + 1 = 2
+    monkeypatch.setattr(classcount, "BLOCK", block)
+    runs = {}
+    for N in sieve_primes(6000).tolist()[1:]:
+        for m in [d for d in range(1, N) if (N - 1) % d == 0]:
+            runs.setdefault(m, []).append(N)
+    assert runs[1][0] == 3
+    for m, Ns in runs.items():
+        for i in range(0, len(Ns), 16):
+            run = Ns[i : i + 16]
+            alone = [classcount._class_zero_witnesses([N], m, explain)[0] for N in run]
+            assert classcount._class_zero_witnesses(run, m, explain) == alone, (m, run)
+    assert classcount._class_zero_witnesses([3], 1) == [Witness("sum_free", (0, 0), 2)]
 
 
 def test_class_zero_verdict_is_the_same_for_any_generator():
@@ -435,7 +456,7 @@ def test_class_zero_witness_at_the_top_of_the_range(m, k, condition, residue):
         assert not pairs
         assert least_cyclic_basis_miss(N, m, 7) == residue
     expected = Witness(condition, (0, 0) if condition == "sum_free" else (0,), residue)
-    assert classcount._class_zero_witness(N, m) == expected
+    assert classcount._class_zero_witnesses([N], m) == [expected]
 
 
 # Triangle failures past N = 10,000, each the first candidate of its m

@@ -100,7 +100,9 @@ def test_smallest_generator_known_values(N, x):
 
 
 def test_smallest_generator_trivial_modulus():
+    # 1 is the one element of the trivial group, and generates it
     assert smallest_generator(2) == 1
+    assert is_generator(1, 2) and not is_generator(0, 2)
 
 
 def test_is_generator_matches_order_computation():
@@ -151,10 +153,10 @@ def test_smallest_generator_of_each_subgroup_all_primes_to_2000():
 
 def test_is_generator_is_lucas_test_to_300():
     # a composite N has no unit of order N - 1, so Fermat's x^(N-1) = 1
-    # fails first; on primes the verdict is the order walk's
+    # fails first; on primes the verdict is the order walk's, N = 2 too
     assert not is_generator(3, 9) and not is_generator(2, 9)
     primes = set(sieve_primes(300).tolist())
-    for N in range(3, 301):
+    for N in range(2, 301):
         for x in range(N):
             expected = N in primes and x > 0 and walk_order(x, N) == N - 1
             assert is_generator(x, N) == expected, (N, x)

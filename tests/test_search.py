@@ -214,15 +214,15 @@ def test_search_checks_only_the_window(monkeypatch):
     def refuse(*args):
         raise AssertionError("called outside the first three conditions")
 
-    engine, checked = search._class_zero_witness, []
+    engine, checked = search._class_zero_witnesses, []
 
-    def counted(N, *args):
-        checked.append(N)
-        return engine(N, *args)
+    def counted(Ns, *args):
+        checked.extend(Ns)
+        return engine(Ns, *args)
 
-    monkeypatch.setattr(search, "_class_zero_witness", counted)
+    monkeypatch.setattr(search, "_class_zero_witnesses", counted)
     monkeypatch.setattr(search, "smallest_generator", refuse)
-    monkeypatch.setattr(search, "check_candidate", refuse)
+    monkeypatch.setattr(search, "_triangle_witness", refuse)
     rec = search_min_modulus(8, 2_500_000)
     cands = candidate_primes(8, 0, 2_500_000)
     assert (rec.status, rec.candidates_tested) == ("exhausted", len(cands))
@@ -255,6 +255,45 @@ def test_search_never_scans_for_a_cyclic_basis_witness(monkeypatch):
     missed = [f for f in failures if f.failed_check == "cyclic_basis"]
     assert scanned == [f.N for f in missed] and len(missed) == 4
     assert all(type(f.witness.residue) is int for f in failures)
+
+
+def test_class_zero_groups_hold_at_most_a_block(monkeypatch):
+    # a group of rows walks at most BLOCK residues; only a single row,
+    # walked as one flat array, may be longer.  The walks of this sweep
+    # reach 6,776 residues a group, so a block of 1,000 splits groups
+    # and leaves rows of 1,000 or more alone, with the same log
+    walk, shapes = classcount.power_walk, []
+
+    def spy(g, n, N):
+        out = walk(g, n, N)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(classcount, "power_walk", spy)
+    failures = sweep_nonexistence(13, 400_000).failures
+    for block in (classcount.BLOCK, 1000):
+        monkeypatch.setattr(classcount, "BLOCK", block)
+        shapes.clear()
+        assert sweep_nonexistence(13, 400_000).failures == failures
+        assert all(len(s) == 1 or s[0] * s[1] <= block for s in shapes), block
+        assert any(len(s) == 2 and s[0] > 1 for s in shapes), block
+    assert any(len(s) == 1 and s[0] > 1000 for s in shapes)
+
+
+@pytest.mark.parametrize("m", [6, 25, 36])
+def test_search_builds_no_table_past_its_pass(monkeypatch, m):
+    # the block of 16 candidates that holds the pass stops there: after
+    # the pass, 2 candidates of its block meet the first three conditions
+    # at m = 6 and 3 at m = 36; at m = 25 the pass ends its block
+    build, tables = classcount.class_index_table, []
+
+    def spy(N, m, x):
+        tables.append(N)
+        return build(N, m, x)
+
+    monkeypatch.setattr(classcount, "class_index_table", spy)
+    rec = search_min_modulus(m, 2_500_000)
+    assert (rec.status, tables) == ("found", [rec.N])
 
 
 def test_found_search_sieves_only_to_the_cut_off():
