@@ -14,7 +14,7 @@ from .catalog import (
     verify_rows,
 )
 from .checker import check_candidate
-from .classcount import class_index_table, counting_report, pair_sum_class_matrix
+from .classcount import class_index_table, pair_sum_class_matrix
 from .numbertheory import is_generator, prime_factors, sieve_primes, smallest_generator
 from .oracle import (
     LabeledPartition,
@@ -61,7 +61,6 @@ __all__ = [
     "candidate_primes",
     "check_candidate",
     "class_index_table",
-    "counting_report",
     "exhaustive_small_scan",
     "export_coloring",
     "is_generator",

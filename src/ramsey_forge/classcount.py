@@ -56,7 +56,9 @@ O(N) int64 array.
 
 A search computes a generator of the whole group only for the few
 candidates that reach the triangle, and keeps no witness, so a
-cyclic-basis failure there is decided by a count alone.
+cyclic-basis failure there is decided by a count alone.  That x, like
+the one `checker.check_candidate` checks once, needs no second check,
+so `_triangle_witness` reads its table off `_half_table`, unchecked.
 
 Every class-0 walk and the first block of the class table come from
 one kernel, `power_walk`, which lists g^0..g^(n-1) mod N by doubling:
@@ -88,7 +90,7 @@ from itertools import accumulate
 import numpy as np
 
 from .numbertheory import MAX_COUNTING_MODULUS, is_generator, smallest_generator
-from .report import CheckReport, Witness
+from .report import Witness
 
 # Residues per vectorised pass of the table and matrix builders: 512 KiB
 # of int64.  Their working set is then the same at every N, so the
@@ -157,31 +159,26 @@ def _require_generator(N: int, m: int, x: int) -> None:
         raise ValueError(f"x={x} is not a generator mod {N}: its order is below {N - 1}")
 
 
-def class_columns(N: int, m: int, x: int) -> np.ndarray:
-    """The walk x^0..x^(N-2) in rows of m, so column i is class i.
-
-    Raises if m does not divide N - 1 or x does not generate a cyclic
-    group of order N - 1 (see `_require_generator`).
-    """
-    _require_generator(N, m, x)
-    return power_walk(x, N - 1, N).reshape(-1, m)
-
-
 def class_index_table(N: int, m: int, x: int) -> np.ndarray:
     """Half class table h, H = (N - 1) / 2: h[a] is the class of a and of
-    N - a (1 <= a <= H), h[0] = -1, in int8 up to m = 128, else int16.
-
-    Needs k = (N - 1) / m even: then -1 = x^H is in class 0, x^(e + H) = -x^e
-    has class e mod m (H = km/2), and x^0..x^(H-1) folded by z -> min(z, N - z)
-    fills every index 1..H, x being a generator (see `_require_generator`),
-    so h starts empty and only h[0] is set beforehand.  The walk
-    goes in blocks of B powers, B a multiple of m near `BLOCK` (H = (k/2) m
-    is one too), each the last times x^B, so the classes of every block
-    repeat 0..m-1 from its start.
-    """
+    N - a (1 <= a <= H), h[0] = -1, in int8 up to m = 128, else int16;
+    raises unless x is a generator and k = (N - 1) / m is even."""
     _require_generator(N, m, x)
     if (N - 1) // m % 2:
         raise ValueError(f"no half table for N={N}, m={m}: needs k even, k = (N - 1) / m")
+    return _half_table(N, m, x)
+
+
+def _half_table(N: int, m: int, x: int) -> np.ndarray:
+    """`class_index_table` for a generator x and an even k, unchecked.
+
+    With k even, -1 = x^H is in class 0, x^(e + H) = -x^e has class e mod m
+    (H = km/2), and x^0..x^(H-1) folded by z -> min(z, N - z) fills every
+    index 1..H, x being a generator, so h starts empty and only h[0] is set
+    beforehand.  The walk goes in blocks of B powers, B a multiple of m near
+    `BLOCK` (H = (k/2) m is one too), each the last times x^B, so the
+    classes of every block repeat 0..m-1 from its start.
+    """
     H = (N - 1) // 2
     B = min(H, m * max(1, BLOCK // m))
     z = power_walk(x, B, N)
@@ -348,10 +345,10 @@ def _character_witness(N: int, m: int, half: np.ndarray, explain: bool) -> Witne
 def _triangle_witness(N: int, m: int, x: int) -> Witness | None:
     """The triangle witness of (N, m, x), which meets the first three
     conditions: None if T has no zero off its diagonal, else the least z
-    whose class, read off the half table, X_0 + X_i misses."""
+    whose class, read off the half table, X_0 + X_i misses; the caller checks x."""
     # m = 1 never gets here: X_0 is then the whole group and fails
     # sum_free at a = 2.
-    h = class_index_table(N, m, x)
+    h = _half_table(N, m, x)
     T = pair_sum_class_matrix(h, m)
     # T[0][0] = 0 and the rest of the diagonal is positive, so the
     # triangle holds iff that is the only zero
@@ -368,13 +365,3 @@ def _triangle_witness(N: int, m: int, x: int) -> Witness | None:
     z = _first_hit(N, lambda z: wanted[h[np.minimum(z, N - z)]])
     return Witness("triangle", (0, i), z)
 
-
-def counting_report(N: int, m: int, x: int) -> CheckReport:
-    """Full four-condition report for the construction (N, m, x), with
-    the flag order, short-circuiting and witness conventions of the
-    bit-mask reference the tests hold it to."""
-    _require_generator(N, m, x)
-    witness = _class_zero_witnesses([N], m)[0]
-    if witness is None:
-        witness = _triangle_witness(N, m, x)
-    return CheckReport(witness)

@@ -9,20 +9,20 @@ an ascending int64 array, read alike through `.N` and `.classes`.
 naive_check tests each of the first three conditions on all classes at
 once, from one array of class labels.  The small scan's jobs are its
 prime moduli, run in N order by `search.in_order`; each reads every m's
-classes off one walk of builtin products, sharing no kernel with the engine.
+classes off one `partition.generator_walk`, the builtin-product walk
+that every partition comes from, sharing no kernel with the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .checker import check_candidate
 from .numbertheory import sieve_primes, smallest_generator
-from .partition import CyclotomicPartition, partition_from_walk
+from .partition import CyclotomicPartition, generator_walk, partition_from_walk
 from .report import CheckReport, Witness
 from .search import in_order
 
@@ -308,7 +308,7 @@ class ScanRecord:
 def _scan_modulus(N: int) -> list[ScanRecord]:
     """The scan's records for the prime N, in m order."""
     x = smallest_generator(N)
-    walk = np.array(list(accumulate(repeat(x, N - 2), lambda z, _: z * x % N, initial=1)))
+    walk = generator_walk(N, x)
     return [
         ScanRecord(N, m, x, check_candidate(N, m, x), naive_check(partition_from_walk(walk, m)))
         for m in range(2, N // 2 + 1)

@@ -8,24 +8,22 @@ Class zero is the set of m-th power residues
 the unique subgroup of order k (unique because the group is cyclic, so
 X_0 does not depend on which generator was chosen).  The remaining
 classes are its cosets X_i = x * X_{i-1}, and together they partition
-Z_N \\ {0} into m classes of k elements each.  All m are read off one
-power walk x^0, x^1, ..., x^(N-2): laid out in rows of m, column i
-holds x^(jm + i), which is class i.  One sort of the transposed walk
-stores each class as an ascending int64 array, the form the oracle
-and the edge-coloring export read.
-
-Constructors reject inputs that cannot produce a usable partition:
-build_partition additionally requires N = 1 (mod 2m), i.e. k even,
-because odd k makes -1 land outside X_0 and every class asymmetric.
+Z_N \\ {0} into m classes of k elements each.  Every partition is read
+off one walk of builtin products, `generator_walk`, x^0, x^1, ...,
+x^(N-2), which shares no kernel with the counting engine: laid out in
+rows of m, column i holds x^(jm + i), which is class i.  One sort of
+the transposed walk stores each class as an ascending int64 array, the
+form the oracle and the edge-coloring export read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
-from .classcount import class_columns
+from .numbertheory import is_generator
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,16 +46,27 @@ class CyclotomicPartition:
 
 
 def build_partition(N: int, m: int, x: int) -> CyclotomicPartition:
-    """All m classes, read as the columns of one power walk of x.
+    """All m classes, read as the columns of `generator_walk(N, x)`.
 
     Demands N = 1 (mod 2m): with k odd no class is symmetric, so such
     moduli can never carry a valid multi-basis and are rejected here
     rather than wasting checker time downstream.  Raises if x is not a
-    generator.
+    generator, before walking.
     """
     if m < 1 or N % (2 * m) != 1:
         raise ValueError(f"need N = 1 (mod 2m); got N={N}, m={m}")
-    return partition_from_walk(class_columns(N, m, x).ravel(), m)
+    if N < 3:
+        raise ValueError(f"modulus must be an odd prime, got {N}")
+    if not is_generator(x, N):
+        raise ValueError(f"x={x} is not a generator mod {N}: its order is below {N - 1}")
+    return partition_from_walk(generator_walk(N, x), m)
+
+
+def generator_walk(N: int, x: int) -> np.ndarray:
+    """x^0, x^1, ..., x^(N-2) mod N as int64, one builtin product per
+    power, unchecked."""
+    powers = accumulate(repeat(x, N - 2), lambda z, _: z * x % N, initial=1)
+    return np.fromiter(powers, dtype=np.int64, count=N - 1)
 
 
 def partition_from_walk(walk: np.ndarray, m: int) -> CyclotomicPartition:

@@ -1,7 +1,7 @@
 """Bit-mask reference engine that the tests hold the counting engine to.
 
 It computes the four flags and their witnesses from explicit sumsets,
-bit for bit the same as `classcount.counting_report`, on moduli well
+bit for bit the same as `checker.check_candidate`, on moduli well
 past the reach of the naive oracle.  It shares no code with the
 library: `bitmask_partition` walks the powers of x in plain Python.
 
@@ -20,8 +20,9 @@ sum_free -> cyclic_basis -> triangle and stop at the first failure.
 
 `full_class_index_table` and `full_pair_sum_class_matrix` are the
 numpy reference for the engine's folded half table: an N-long table
-scattered from the library's `class_columns` walk, and every pair
-(a, 1 - a) tallied off the reversed table.
+scattered from `partition.generator_walk`, the builtin-product walk
+every partition comes from, which shares no kernel with the engine, and
+every pair (a, 1 - a) tallied off the reversed table.
 `least_sum_free_violation` finds the engine's sum_free witness from
 the definition, with builtin `pow` alone.
 """
@@ -33,7 +34,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ramsey_forge.classcount import class_columns
+from ramsey_forge.partition import generator_walk
 from ramsey_forge.report import CheckReport, Witness
 
 
@@ -272,11 +273,15 @@ def full_class_index_table(N: int, m: int, x: int) -> np.ndarray:
 
     Stored in the smallest signed type that holds -m (int8 up to
     m = 128, int16 up to 32,768), so the table costs one or two bytes
-    per residue.  Raises if x does not generate the full group.
+    per residue.  Raises unless m divides N - 1 and the walk of x
+    reaches every nonzero residue, that is unless x generates the group.
     """
-    powers = class_columns(N, m, x)
+    if m < 1 or (N - 1) % m:
+        raise ValueError(f"class count {m} does not divide {N - 1}")
     cls = np.full(N, -1, dtype=np.min_scalar_type(-m))
-    cls[powers] = np.arange(m, dtype=cls.dtype)
+    cls[generator_walk(N, x).reshape(-1, m)] = np.arange(m, dtype=cls.dtype)
+    if (cls[1:] < 0).any():
+        raise ValueError(f"x={x} is not a generator mod {N}")
     return cls
 
 

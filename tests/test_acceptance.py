@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from ramsey_forge.catalog import load_catalog
-from ramsey_forge.classcount import class_columns
 from ramsey_forge.cli import main
 from ramsey_forge.numbertheory import is_generator, sieve_primes, smallest_generator
 from ramsey_forge.oracle import (
@@ -26,7 +25,7 @@ from ramsey_forge.oracle import (
     partition_atoms,
     relation_algebra_check,
 )
-from ramsey_forge.partition import build_partition
+from ramsey_forge.partition import build_partition, generator_walk
 from ramsey_forge.search import ramsey_recursive_bound, records_from_csv, sum_free_cutoff
 from reference import BitmaskPartition, ResidueSet, check_symmetric, sumset
 
@@ -283,14 +282,15 @@ def test_criterion_09_structural_invariants(capsys):
     for N in sieve.tolist():
         if N < 5 or N > 500:
             continue
-        gens = [g for g in range(2, N) if is_generator(g, N)]
+        walks = [generator_walk(N, g) for g in range(2, N) if is_generator(g, N)]
         for m in range(2, N):
             if (N - 1) % m:
                 continue
-            reference = frozenset(class_columns(N, m, gens[0])[:, 0].tolist())
-            for g in gens[1:]:
-                if frozenset(class_columns(N, m, g)[:, 0].tolist()) != reference:
-                    problems.append(f"class zero varies with generator ({N},{m},{g})")
+            # column 0 of the walk in rows of m, odd k included
+            reference = frozenset(walks[0][::m].tolist())
+            for walk in walks[1:]:
+                if frozenset(walk[::m].tolist()) != reference:
+                    problems.append(f"class zero varies with generator ({N},{m},{walk[1]})")
 
     # class-0 shortcuts: one class decides symmetry/sum-freeness/basis,
     # the (0,j) pairs decide the whole triangle grid

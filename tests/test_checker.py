@@ -4,9 +4,11 @@ import tracemalloc
 import pytest
 
 from ramsey_forge import classcount
+from ramsey_forge.catalog import load_catalog
 from ramsey_forge.checker import check_candidate
 from ramsey_forge.numbertheory import prime_factors, sieve_primes, smallest_generator
 from ramsey_forge.report import CONDITIONS, CheckReport, Witness
+from ramsey_forge.search import search_min_modulus
 from reference import (
     ResidueSet,
     bitmask_partition,
@@ -35,7 +37,7 @@ def bitset_reference(N, m, x):
 
 
 def class_zero_mask(N, m, x):
-    return ResidueSet.from_elements(N, classcount.class_columns(N, m, x)[:, 0].tolist())
+    return bitmask_partition(N, m, x).classes[0]
 
 
 def test_symmetric_pass_and_fail():
@@ -113,9 +115,33 @@ def test_full_check_order_and_short_circuit():
     assert rep.flags() == (True, True, False, None)
     assert rep.witness == Witness("cyclic_basis", (0,), 3)
 
-    rep = check_candidate(5, 2, 2)
-    assert rep.flags() == (True, True, True, True)
-    assert rep.witness is None and rep.overall
+    for N, m, x in [(5, 2, 2), (13, 3, 2)]:
+        rep = check_candidate(N, m, x)
+        assert rep.flags() == (True, True, True, True)
+        assert rep.witness is None and rep.overall
+
+
+def test_check_candidate_large_value_matches_known_row():
+    # spot check at search scale: the m=100 minimum
+    assert check_candidate(95801, 100, 3).overall
+
+
+def test_a_report_checks_x_once(monkeypatch):
+    # Lucas's test factors N - 1: check_candidate runs it once on its x,
+    # and a search runs it on none, its x being smallest_generator(N)
+    checked, lucas = [], classcount.is_generator
+
+    def spy(x, N):
+        checked.append((x, N))
+        return lucas(x, N)
+
+    monkeypatch.setattr(classcount, "is_generator", spy)
+    row = next(r for r in load_catalog() if r.m == 101)
+    assert check_candidate(row.N, row.m, row.x).overall
+    assert checked == [(row.x, 154_127)]
+    checked.clear()
+    assert search_min_modulus(25, 2_500_000).status == "found"
+    assert checked == []
 
 
 def test_triangle_failure_witness():
@@ -165,11 +191,16 @@ def test_check_candidate_rejects_non_generator():
         bitset_reference(13, 3, 3)
     # composite moduli, then non-generators of a prime modulus; (31, 3,
     # 15) used to come back as a sum_free failure with witness 2
-    for N, m, x in [(9, 2, 3), (15, 7, 2), (341, 68, 4), (7, 2, 2), (31, 3, 15)]:
+    for N, m, x in [(9, 2, 3), (15, 7, 2), (341, 68, 4), (7, 2, 2), (31, 3, 15),
+                    (13, 3, 13), (13, 3, 5)]:
         with pytest.raises(ValueError, match="not a generator"):
             check_candidate(N, m, x)
         with pytest.raises(ValueError):
             bitset_reference(N, m, x)
+    with pytest.raises(ValueError, match="class count 5 does not divide 12"):
+        check_candidate(13, 5, 2)
+    with pytest.raises(ValueError):
+        bitset_reference(13, 5, 2)
 
 
 def test_check_candidate_rejects_every_non_generator_exhaustively():
@@ -218,7 +249,7 @@ def test_cyclic_basis_failure_builds_no_table(monkeypatch):
     def no_table(*args):
         raise AssertionError("class table built")
 
-    monkeypatch.setattr(classcount, "class_index_table", no_table)
+    monkeypatch.setattr(classcount, "_half_table", no_table)
     # the first two cyclic-basis failures of the m = 13 sweep
     for N, z in [(53, 3), (131, 4)]:
         rep = check_candidate(N, 13, 2)

@@ -6,15 +6,10 @@ import pytest
 
 from ramsey_forge import classcount
 from ramsey_forge.catalog import load_catalog
-from ramsey_forge.classcount import (
-    class_columns,
-    class_index_table,
-    counting_report,
-    pair_sum_class_matrix,
-    power_walk,
-)
+from ramsey_forge.checker import check_candidate
+from ramsey_forge.classcount import class_index_table, pair_sum_class_matrix, power_walk
 from ramsey_forge.numbertheory import is_generator, sieve_primes, smallest_generator
-from ramsey_forge.partition import build_partition
+from ramsey_forge.partition import build_partition, generator_walk
 from ramsey_forge.report import Witness
 from ramsey_forge.search import candidate_primes
 from reference import (
@@ -90,10 +85,11 @@ def test_kernel_matches_power_residue_definition_to_2000():
     sieve = sieve_primes(2000)
     for N in sieve.tolist()[1:]:
         x = smallest_generator(N)
+        walk = generator_walk(N, x)
         for m in [d for d in range(1, N) if (N - 1) % d == 0]:
             k = (N - 1) // m
             zk = [pow(z, k, N) for z in range(N)]
-            X0 = class_columns(N, m, x)[:, 0].tolist()
+            X0 = walk[::m].tolist()
             assert len(X0) == k and X0[0] == 1, (N, m)
             assert set(X0) == {z for z in range(1, N) if zk[z] == 1}, (N, m)
             if k % 2:
@@ -120,19 +116,20 @@ def test_character_row_is_row_zero_of_pair_matrix_to_2000():
     sieve = sieve_primes(2000)
     for N in sieve.tolist()[1:]:
         x = smallest_generator(N)
+        walk = generator_walk(N, x)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             k = (N - 1) // m
             h = class_index_table(N, m, x)
             assert h.itemsize == (1 if m <= 128 else 2), (N, m)
             T = pair_sum_class_matrix(h, m)
-            chars = {pow(1 - a, k, N) for a in class_columns(N, m, x)[:, 0].tolist()[1:]}
+            chars = {pow(1 - a, k, N) for a in walk[m::m].tolist()}
             assert len(chars) == np.count_nonzero(T[0]), (N, m)
             assert (1 in chars) == (T[0][0] > 0), (N, m)
             for d in range(m):
                 assert T[d][d] == T[0][-d % m], (N, m, d)
             if T[0][0]:
                 continue
-            rep = counting_report(N, m, x)
+            rep = check_candidate(N, m, x)
             assert rep.cyclic_basis == all(T[0][1:] > 0), (N, m)
             if not rep.cyclic_basis:
                 cls = [h[min(z, N - z)] for z in range(1, N)]
@@ -142,7 +139,7 @@ def test_character_row_is_row_zero_of_pair_matrix_to_2000():
 
 def test_half_walk_takes_every_cyclic_basis_character_to_2000():
     # 1 - 1/a = -(1 - a)/a with -1 and a in X_0, so a and 1/a share the
-    # character (1 - a)^k, and counting_report raises only the walk's
+    # character (1 - a)^k, and check_candidate raises only the walk's
     # g^1..g^(k/2), g = x^m.  Stopping at g^(k/2 - 1) instead loses the
     # character of -1 and changes the set on 754 of these pairs.
     pairs = 0
@@ -174,12 +171,12 @@ def test_witnesses_past_the_first_chunk_at_large_n():
         j = np.arange(m)
         i = next(i for i in range(1, m) if (T[-j % m, (i - j) % m] == 0).any())
         z = next(z for z in range(1, N) if T[-cls[z] % m, (i - cls[z]) % m] == 0)
-        rep = counting_report(N, m, x)
+        rep = check_candidate(N, m, x)
         assert rep.flags() == (True, True, True, False), (N, m)
         assert (rep.witness.classes, rep.witness.residue) == ((0, i), z), (N, m)
     for N, m in [(1832393, 398), (367027, 201)]:
         x = smallest_generator(N)
-        rep = counting_report(N, m, x)
+        rep = check_candidate(N, m, x)
         assert rep.flags() == (True, True, False, None), (N, m)
         assert rep.witness.residue == least_cyclic_basis_miss(N, m, x), (N, m)
 
@@ -220,27 +217,28 @@ def test_class_table_and_pair_matrix_in_small_blocks(monkeypatch):
         class_index_table(97, 2, 28)
 
 
-def test_class_columns_are_the_classes_and_reject_non_generators():
+def test_partition_columns_are_the_classes_and_reject_non_generators():
     for N, m, x, classes in [
         (13, 3, 2, [[1, 5, 8, 12], [2, 3, 10, 11], [4, 6, 7, 9]]),
         (5, 2, 2, [[1, 4], [2, 3]]),
         # m = 1 gives the whole punctured line
         (13, 1, 2, [list(range(1, 13))]),
     ]:
-        cols = class_columns(N, m, x)
+        cols = generator_walk(N, x).reshape(-1, m)
         assert [sorted(c) for c in cols.T.tolist()] == classes, (N, m, x)
+        assert [c.tolist() for c in build_partition(N, m, x).classes] == classes, (N, m, x)
         # column 0 is the walk of x^m, so it starts at 1
         assert cols[0, 0] == 1
     # 5 has order 4 and 3 order 3 mod 13, 13 is no unit mod 13, and 3 is
     # no unit mod 9, so its walk never returns to 1
     for N, m, x in [(13, 3, 5), (13, 3, 3), (13, 3, 13), (9, 2, 3), (9, 4, 2)]:
         with pytest.raises(ValueError, match="not a generator"):
-            class_columns(N, m, x)
+            class_index_table(N, m, x)
         with pytest.raises(ValueError, match="not a generator"):
             build_partition(N, m, x)
     for m in (5, 0):
         with pytest.raises(ValueError, match=f"class count {m} does not divide 12"):
-            class_columns(13, m, 2)
+            class_index_table(13, m, 2)
 
 
 def test_pair_matrix_matches_definition():
@@ -295,7 +293,7 @@ def test_sum_free_scan_is_least_walk_violation_to_2000(monkeypatch):
             cases.append((N, m, x, a))
     monkeypatch.setattr(classcount, "_sum_free_scan", lambda *args: None)
     for N, m, x, a in cases:
-        rep = counting_report(N, m, x)
+        rep = check_candidate(N, m, x)
         if a is None:
             assert rep.sum_free, (N, m)
         else:
@@ -315,7 +313,7 @@ def test_scanned_witness_is_least_walk_violation_near_2_5m(monkeypatch):
         for m in (8, 13):
             for N in candidate_primes(m, 2_400_000, 2_500_000):
                 x = smallest_generator(N)
-                reports[N, m] = counting_report(N, m, x)
+                reports[N, m] = check_candidate(N, m, x)
     assert len(reports) == 814 + 540
     for (N, m), rep in reports.items():
         assert rep.witness.condition == "sum_free", (N, m)
@@ -328,47 +326,17 @@ def test_walked_sum_free_failure_allocates_far_below_n():
     failures = []
     for N in candidate_primes(300, 2_300_000, 2_400_000):
         x = smallest_generator(N)
-        if counting_report(N, 300, x).witness.condition == "sum_free":
+        if check_candidate(N, 300, x).witness.condition == "sum_free":
             failures.append((N, x))
     assert len(failures) >= 5
     for N, x in failures[:5]:
         tracemalloc.start()
         try:
-            counting_report(N, 300, x)
+            check_candidate(N, 300, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < N // 4, (N, peak)
-
-
-def test_counting_report_worked_examples():
-    assert counting_report(5, 2, 2).overall
-    assert counting_report(13, 3, 2).overall
-    rep = counting_report(7, 3, 3)
-    assert rep.flags() == (True, True, False, None)
-    assert rep.witness.residue == 3
-
-
-def test_counting_report_short_circuits_on_odd_k():
-    rep = counting_report(7, 2, 3)
-    assert rep.flags() == (False, None, None, None)
-    assert rep.witness.condition == "symmetric"
-    assert rep.witness.classes == (0,)
-    assert rep.witness.residue == 1
-
-
-def test_counting_report_large_value_matches_known_row():
-    # spot check at search scale: the m=100 minimum
-    assert counting_report(95801, 100, 3).overall
-
-
-def test_counting_report_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        counting_report(13, 5, 2)
-    with pytest.raises(ValueError):
-        counting_report(13, 3, 13)
-    with pytest.raises(ValueError):
-        counting_report(13, 3, 5)
 
 
 @pytest.mark.parametrize("walk_only", [False, True])
@@ -384,7 +352,7 @@ def test_class_zero_witness_needs_no_generator_to_3000(monkeypatch, walk_only):
     for N in sieve_primes(3000).tolist()[1:]:
         x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
-            rep = counting_report(N, m, x)
+            rep = check_candidate(N, m, x)
             witness = classcount._class_zero_witnesses([N], m)[0]
             if rep.failed_condition in (None, "triangle"):
                 assert witness is None, (N, m)
@@ -429,7 +397,7 @@ def test_class_zero_verdict_is_the_same_for_any_generator():
         least = smallest_generator(N)
         largest = next(g for g in range(N - 1, 1, -1) if is_generator(g, N))
         for m in [m for m in range(2, N // 2 + 1) if (N - 1) % (2 * m) == 0]:
-            a, b = counting_report(N, m, least), counting_report(N, m, largest)
+            a, b = check_candidate(N, m, least), check_candidate(N, m, largest)
             assert a.flags()[:3] == b.flags()[:3], (N, m)
             if a.failed_condition not in (None, "triangle"):
                 assert a.witness == b.witness, (N, m)
@@ -472,7 +440,7 @@ def test_triangle_failure_witness_by_builtin_pow(N, m, x):
     h = class_index_table(N, m, x)
     T = pair_sum_class_matrix(h, m)
     assert np.array_equal(T, full_pair_sum_class_matrix(full_class_index_table(N, m, x), m))
-    rep = counting_report(N, m, x)
+    rep = check_candidate(N, m, x)
     assert rep.flags() == (True, True, True, False)
     (zero, i), z = rep.witness.classes, rep.witness.residue
     assert zero == 0 and 0 < i < m

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramsey_forge import oracle
+from ramsey_forge import classcount, oracle
+from ramsey_forge.catalog import export_coloring, load_catalog
 from ramsey_forge.checker import check_candidate
 from ramsey_forge.numbertheory import is_generator, sieve_primes
 from ramsey_forge.oracle import (
@@ -189,13 +190,33 @@ def test_scan_of_one_modulus_starts_no_pool(no_pool):
 
 
 def test_scan_partitions_share_no_kernel_with_the_engine(monkeypatch):
+    # with the engine's power walk refused, every partition still comes
+    # off the builtin walk: the scan's naive half, and what build_partition
+    # gives naive_check, the export and the relation algebra; the scan's
+    # engine half replays the reports it gave before
     expected = exhaustive_small_scan(200, workers=1)
+    fast = {(r.N, r.m): r.fast for r in expected}
+    rows = [r for r in load_catalog() if r.N <= oracle.RELATION_CAP]
+    assert len(rows) == 5
+
+    def views():
+        out = []
+        for r in rows:
+            p = build_partition(r.N, r.m, r.x)
+            out.append((naive_check(p), export_coloring(p, "dot"),
+                        export_coloring(p, "json"), relation_algebra_check(p)))
+        return out
+
+    before = views()
+    assert all(v[0].overall and v[3] for v in before)
 
     def unreachable(*args):
-        raise AssertionError("the scan walked its classes with class_columns")
+        raise AssertionError("a partition was walked with the engine's power_walk")
 
-    monkeypatch.setattr("ramsey_forge.partition.class_columns", unreachable)
+    monkeypatch.setattr(classcount, "power_walk", unreachable)
+    monkeypatch.setattr(oracle, "check_candidate", lambda N, m, x: fast[N, m])
     assert exhaustive_small_scan(200, workers=1) == expected
+    assert views() == before
 
 
 def test_scan_rejects_oversized_request():

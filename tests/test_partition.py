@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ramsey_forge.classcount import class_columns
+from ramsey_forge import partition
 from ramsey_forge.numbertheory import is_generator, sieve_primes
-from ramsey_forge.partition import build_partition
+from ramsey_forge.partition import build_partition, generator_walk
 
 
 def assert_tiles(p):
@@ -55,6 +55,24 @@ def test_partition_rejects_subgroup_sized_non_generator():
         build_partition(13, 3, 5)
 
 
+def test_generator_walk_lists_successive_powers():
+    # x^0..x^(N-2), with N = 3 the shortest walk a partition can have
+    for N, x in [(3, 2), (5, 2), (13, 2), (97, 5), (2003, 5)]:
+        walk = generator_walk(N, x)
+        assert walk.dtype == np.int64 and walk.tolist() == [pow(x, e, N) for e in range(N - 1)]
+
+
+def test_partition_refuses_a_non_generator_before_walking(monkeypatch):
+    # Lucas's test comes first, so a modulus near 2^31 never walks
+    def unreachable(*args):
+        raise AssertionError("walked before the generator check")
+
+    monkeypatch.setattr(partition, "generator_walk", unreachable)
+    for N, m, x in [(13, 3, 5), (13, 3, 13), (9, 2, 3), (2**31 - 1, 1, 1)]:
+        with pytest.raises(ValueError, match="not a generator"):
+            build_partition(N, m, x)
+
+
 def test_class_chain_is_generator_scaling():
     for N, m, x in [(13, 3, 2), (41, 4, 6), (29, 2, 2), (71, 5, 7)]:
         p = build_partition(N, m, x)
@@ -70,13 +88,14 @@ def test_class_zero_is_generator_independent_all_primes_to_500():
     for N in sieve.tolist():
         if N < 3:
             continue
-        gens = [x for x in range(2, N) if is_generator(x, N)]
+        walks = [generator_walk(N, x) for x in range(2, N) if is_generator(x, N)]
         for m in range(1, N):
             if (N - 1) % m != 0:
                 continue
-            reference = np.sort(class_columns(N, m, gens[0])[:, 0])
-            for x in gens[1:]:
-                assert np.array_equal(np.sort(class_columns(N, m, x)[:, 0]), reference), (N, m, x)
+            # column 0 of the walk in rows of m, odd k included
+            reference = np.sort(walks[0][::m])
+            for walk in walks[1:]:
+                assert np.array_equal(np.sort(walk[::m]), reference), (N, m, walk[1])
 
 
 def test_partitions_tile_for_all_valid_m_to_500():

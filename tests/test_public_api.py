@@ -16,6 +16,15 @@ def test_all_is_sorted_and_unique():
     assert names == sorted(set(names))
 
 
+def test_retired_names_are_gone():
+    # check_candidate is the one report function, and every partition
+    # comes off partition.generator_walk
+    for name in ("counting_report", "class_columns"):
+        assert name not in ramsey_forge.__all__, name
+        assert not hasattr(ramsey_forge, name), name
+        assert not hasattr(ramsey_forge.classcount, name), name
+
+
 def test_version_string():
     major, minor, patch = ramsey_forge.__version__.split(".")
     assert all(part.isdigit() for part in (major, minor, patch))

@@ -285,13 +285,13 @@ def test_search_builds_no_table_past_its_pass(monkeypatch, m):
     # the block of 16 candidates that holds the pass stops there: after
     # the pass, 2 candidates of its block meet the first three conditions
     # at m = 6 and 3 at m = 36; at m = 25 the pass ends its block
-    build, tables = classcount.class_index_table, []
+    build, tables = classcount._half_table, []
 
     def spy(N, m, x):
         tables.append(N)
         return build(N, m, x)
 
-    monkeypatch.setattr(classcount, "class_index_table", spy)
+    monkeypatch.setattr(classcount, "_half_table", spy)
     rec = search_min_modulus(m, 2_500_000)
     assert (rec.status, tables) == ("found", [rec.N])
 
