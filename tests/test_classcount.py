@@ -241,6 +241,35 @@ def test_partition_columns_are_the_classes_and_reject_non_generators():
             class_index_table(13, m, 2)
 
 
+# counting_report was folded into check_candidate; these keep its cases on
+# the report function that replaced it
+
+
+def test_counting_report_worked_examples():
+    assert check_candidate(5, 2, 2).overall
+    assert check_candidate(13, 3, 2).overall
+    rep = check_candidate(7, 3, 3)
+    assert rep.flags() == (True, True, False, None)
+    assert rep.witness.residue == 3
+
+
+def test_counting_report_short_circuits_on_odd_k():
+    rep = check_candidate(7, 2, 3)
+    assert rep.flags() == (False, None, None, None)
+    assert rep.witness.condition == "symmetric"
+    assert rep.witness.classes == (0,)
+    assert rep.witness.residue == 1
+
+
+def test_counting_report_rejects_bad_inputs():
+    with pytest.raises(ValueError):
+        check_candidate(13, 5, 2)
+    with pytest.raises(ValueError):
+        check_candidate(13, 3, 13)
+    with pytest.raises(ValueError):
+        check_candidate(13, 3, 5)
+
+
 def test_pair_matrix_matches_definition():
     sieve = sieve_primes(2000)
     for N in sieve.tolist()[1:]:
