@@ -9,7 +9,8 @@ failure, whose witness is the whole verdict (see `report`).
 
 from __future__ import annotations
 
-from .classcount import _class_zero_witnesses, _require_generator, _triangle_witness
+from .classcount import _class_zero_witnesses, _triangle_witness
+from .numbertheory import require_generator
 from .report import CheckReport
 
 
@@ -19,7 +20,7 @@ def check_candidate(N: int, m: int, x: int) -> CheckReport:
     which is what makes million-range moduli cheap.  An x that fails to
     generate the group (so also any composite N), or a modulus of 2^31
     or more, raises ValueError."""
-    _require_generator(N, m, x)
+    require_generator(N, m, x)
     witness = _class_zero_witnesses([N], m)[0]
     if witness is None:
         witness = _triangle_witness(N, m, x)

@@ -89,7 +89,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .numbertheory import MAX_COUNTING_MODULUS, is_generator, smallest_generator
+from .numbertheory import refuse_large_modulus, require_generator, smallest_generator
 from .report import Witness
 
 # Residues per vectorised pass of the table and matrix builders: 512 KiB
@@ -113,11 +113,6 @@ WALK_HEAD = 32
 GROUP_ROWS = 16
 
 
-def _refuse_large_modulus(N: int) -> None:
-    if N >= MAX_COUNTING_MODULUS:
-        raise ValueError(f"modulus {N} too large: need N < 2^31 = {MAX_COUNTING_MODULUS}")
-
-
 def power_walk(g, n: int, N) -> np.ndarray:
     """g^0, g^1, ..., g^(n-1) mod N as int64: every list of successive
     powers starts here.  g and N are ints, or int64 columns of shape
@@ -125,12 +120,12 @@ def power_walk(g, n: int, N) -> np.ndarray:
     per row would cost more than the doubling passes it spares.  Refuses
     moduli the int64 products cannot hold before allocating anything."""
     if isinstance(g, np.ndarray):
-        _refuse_large_modulus(int(N.max()))
+        refuse_large_modulus(int(N.max()))
         out = np.empty((len(g), n), dtype=np.int64)
         out[:, :1] = 1
         filled, z = min(n, 1), g
     else:
-        _refuse_large_modulus(N)
+        refuse_large_modulus(N)
         out = np.empty(n, dtype=np.int64)
         filled, z = min(n, WALK_HEAD), 1
         for i in range(filled):
@@ -147,23 +142,11 @@ def power_walk(g, n: int, N) -> np.ndarray:
     return out
 
 
-def _require_generator(N: int, m: int, x: int) -> None:
-    """Raise unless m divides N - 1 and x has order N - 1 mod N, which
-    `is_generator` decides; composite moduli are rejected too."""
-    if N < 3:
-        raise ValueError(f"modulus must be an odd prime, got {N}")
-    _refuse_large_modulus(N)
-    if m < 1 or (N - 1) % m != 0:
-        raise ValueError(f"class count {m} does not divide {N - 1}")
-    if not is_generator(x, N):
-        raise ValueError(f"x={x} is not a generator mod {N}: its order is below {N - 1}")
-
-
 def class_index_table(N: int, m: int, x: int) -> np.ndarray:
     """Half class table h, H = (N - 1) / 2: h[a] is the class of a and of
     N - a (1 <= a <= H), h[0] = -1, in int8 up to m = 128, else int16;
     raises unless x is a generator and k = (N - 1) / m is even."""
-    _require_generator(N, m, x)
+    require_generator(N, m, x)
     if (N - 1) // m % 2:
         raise ValueError(f"no half table for N={N}, m={m}: needs k even, k = (N - 1) / m")
     return _half_table(N, m, x)

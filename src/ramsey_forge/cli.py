@@ -4,7 +4,9 @@ Subcommands: search, sweep, verify, bound, export, scan.  Result
 documents (CSV by default, JSON lines with --format json) go to stdout
 or the --out file; progress lines go to stderr so the two never mix.
 Exit status is 0 only when the operation completed, and for verify only
-when every selected row passed.  search, sweep, verify and scan run on
+when every selected row passed.  A refused input or an unwritable output
+raises ValueError, which `main` alone reports: one `error: ...` line on
+stderr and exit status 1.  search, sweep, verify and scan run on
 --workers processes and write the same documents whatever the count.
 """
 
@@ -35,6 +37,9 @@ from .search import (
 )
 
 WORKERS_ENV = "RAMSEY_FORGE_WORKERS"
+# The most colors whose bound prints: Python 3.11+ converts at most 4,300
+# digits from int to str by default, and the bound's cost grows as colors^2.
+MAX_BOUND_COLORS = 1558
 
 VERIFY_CSV_HEADER = (
     "m,N,x,generator_ok,symmetric,sum_free,cyclic_basis,triangle,"
@@ -94,15 +99,11 @@ class _Progress:
             print(f"{self.label}: m={m} N={N} tested={tested}", file=sys.stderr)
 
 
-class _Unwritable(Exception):
-    """An output file could not be opened; `main` reports it and exits 1."""
-
-
 def _create(path: str, shown: str) -> IO[str]:
     try:
         return open(path, "w", encoding="ascii", newline="")
     except OSError as e:
-        raise _Unwritable(f"cannot write {shown}: {e.strerror}") from None
+        raise ValueError(f"cannot write {shown}: {e.strerror}") from None
 
 
 @contextmanager
@@ -116,7 +117,7 @@ def _document(path: str | None) -> Iterator[IO[str]]:
         yield sys.stdout
         return
     if os.path.isdir(path):
-        raise _Unwritable(f"cannot write {path}: Is a directory")
+        raise ValueError(f"cannot write {path}: Is a directory")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with _create(tmp, path) as f:
@@ -154,17 +155,11 @@ def _scan_csv_row(r) -> str:
 def _cmd_search(args) -> int:
     lo, hi = args.m
     if lo < 2:
-        print(f"error: search needs m >= 2, got {lo}", file=sys.stderr)
-        return 1
+        raise ValueError(f"search needs m >= 2, got {lo}")
     if args.resume and not args.out:
-        print("error: --resume needs --out", file=sys.stderr)
-        return 1
-    try:
-        workers = _resolve_workers(args.workers)
-        check_bound(args.bound)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        raise ValueError("--resume needs --out")
+    workers = _resolve_workers(args.workers)
+    check_bound(args.bound)
     progress = _Progress("search", args.progress_interval, args.quiet)
 
     resume_records: list[SearchRecord] = []
@@ -181,9 +176,8 @@ def _cmd_search(args) -> int:
         parse = records_from_csv if args.format == "csv" else records_from_jsonl
         try:
             resume_records = parse(text)
-        except (ValueError, KeyError, json.JSONDecodeError) as e:
-            print(f"error: cannot resume from {args.out}: {e}", file=sys.stderr)
-            return 1
+        except (ValueError, KeyError) as e:
+            raise ValueError(f"cannot resume from {args.out}: {e}") from None
 
     # records stream straight into --out, which --resume reads back
     out = _create(args.out, args.out) if args.out else nullcontext(sys.stdout)
@@ -214,19 +208,13 @@ def _cmd_search(args) -> int:
 def _cmd_sweep(args) -> int:
     progress = _Progress("sweep", args.progress_interval, args.quiet)
     failure_log = _document(args.failures) if args.failures else nullcontext()
-    try:
-        workers = _resolve_workers(args.workers)
-        with _document(args.out) as sink, failure_log as log:
-            result = sweep_nonexistence(
-                args.m, args.bound, workers=workers, progress=progress
-            )
-            emit = _writer(sink, args.format, SEARCH_CSV_HEADER, SearchRecord.to_csv_row)
-            emit(result.record)
-            if log:
-                log.writelines(fail.to_json() + "\n" for fail in result.failures)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    workers = _resolve_workers(args.workers)
+    with _document(args.out) as sink, failure_log as log:
+        result = sweep_nonexistence(args.m, args.bound, workers=workers, progress=progress)
+        emit = _writer(sink, args.format, SEARCH_CSV_HEADER, SearchRecord.to_csv_row)
+        emit(result.record)
+        if log:
+            log.writelines(fail.to_json() + "\n" for fail in result.failures)
     if not args.quiet:
         print(
             f"sweep m={args.m}: {result.record.status}, "
@@ -245,21 +233,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        workers = _resolve_workers(args.workers)
-        rows = catalog_mod.load_catalog()
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    workers = _resolve_workers(args.workers)
+    rows = catalog_mod.load_catalog()
     if not args.all:
         if args.m is None:
-            print("error: pass --all or --m <range>", file=sys.stderr)
-            return 1
+            raise ValueError("pass --all or --m <range>")
         lo, hi = args.m
         rows = [r for r in rows if lo <= r.m <= hi]
         if not rows:
-            print(f"error: no catalog rows with m in {lo}..{hi}", file=sys.stderr)
-            return 1
+            raise ValueError(f"no catalog rows with m in {lo}..{hi}")
     progress = _Progress("verify", args.progress_interval, args.quiet)
     with _document(args.out) as sink:
         results = catalog_mod.verify_rows(
@@ -280,37 +262,27 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    try:
-        print(ramsey_recursive_bound(args.colors))
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    if args.colors > MAX_BOUND_COLORS:
+        raise ValueError(f"bound limited to --colors <= {MAX_BOUND_COLORS}, got {args.colors}")
+    print(ramsey_recursive_bound(args.colors))
     return 0
 
 
 def _cmd_export(args) -> int:
-    try:
-        with _document(args.out) as sink:
-            catalog_mod.check_export_modulus(args.N)
-            p = build_partition(args.N, args.m, args.x)
-            sink.write(catalog_mod.export_coloring(p, args.format))
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    with _document(args.out) as sink:
+        catalog_mod.check_export_modulus(args.N)
+        p = build_partition(args.N, args.m, args.x)
+        sink.write(catalog_mod.export_coloring(p, args.format))
     return 0
 
 
 def _cmd_scan(args) -> int:
-    try:
-        workers = _resolve_workers(args.workers)
-        with _document(args.out) as sink:
-            records = oracle_mod.exhaustive_small_scan(args.nmax, workers=workers)
-            emit = _writer(sink, args.format, SCAN_CSV_HEADER, _scan_csv_row)
-            for r in records:
-                emit(r)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    workers = _resolve_workers(args.workers)
+    with _document(args.out) as sink:
+        records = oracle_mod.exhaustive_small_scan(args.nmax, workers=workers)
+        emit = _writer(sink, args.format, SCAN_CSV_HEADER, _scan_csv_row)
+        for r in records:
+            emit(r)
     disagree = [r for r in records if not r.agree]
     if disagree:
         for r in disagree:
@@ -382,7 +354,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _Unwritable as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -78,6 +78,23 @@ def is_generator(x: int, N: int) -> bool:
     return N == 2 or all(pow(x, (N - 1) // p, N) != 1 for p in prime_factors(N - 1))
 
 
+def refuse_large_modulus(N: int) -> None:
+    if N >= MAX_COUNTING_MODULUS:
+        raise ValueError(f"modulus {N} too large: need N < 2^31 = {MAX_COUNTING_MODULUS}")
+
+
+def require_generator(N: int, m: int, x: int) -> None:
+    """Raise unless 3 <= N < 2^31, m divides N - 1 and x has order N - 1
+    mod N, which `is_generator` decides; composite moduli fail too."""
+    if N < 3:
+        raise ValueError(f"modulus must be an odd prime, got {N}")
+    refuse_large_modulus(N)
+    if m < 1 or (N - 1) % m != 0:
+        raise ValueError(f"class count {m} does not divide {N - 1}")
+    if not is_generator(x, N):
+        raise ValueError(f"x={x} is not a generator mod {N}: its order is below {N - 1}")
+
+
 def smallest_generator(N: int, k: int | None = None) -> int:
     """Least y >= 2 with y^((N-1)/q) != 1 for every prime q dividing k,
     for prime N and k dividing N - 1, by default N - 1.

@@ -23,7 +23,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .numbertheory import is_generator
+from .numbertheory import require_generator
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,15 +50,12 @@ def build_partition(N: int, m: int, x: int) -> CyclotomicPartition:
 
     Demands N = 1 (mod 2m): with k odd no class is symmetric, so such
     moduli can never carry a valid multi-basis and are rejected here
-    rather than wasting checker time downstream.  Raises if x is not a
-    generator, before walking.
+    rather than wasting checker time downstream.  `require_generator`
+    checks N and x before the walk.
     """
     if m < 1 or N % (2 * m) != 1:
         raise ValueError(f"need N = 1 (mod 2m); got N={N}, m={m}")
-    if N < 3:
-        raise ValueError(f"modulus must be an odd prime, got {N}")
-    if not is_generator(x, N):
-        raise ValueError(f"x={x} is not a generator mod {N}: its order is below {N - 1}")
+    require_generator(N, m, x)
     return partition_from_walk(generator_walk(N, x), m)
 
 

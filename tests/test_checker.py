@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from ramsey_forge import classcount
+from ramsey_forge import classcount, numbertheory
 from ramsey_forge.catalog import load_catalog
 from ramsey_forge.checker import check_candidate
 from ramsey_forge.numbertheory import prime_factors, sieve_primes, smallest_generator
@@ -129,13 +129,13 @@ def test_check_candidate_large_value_matches_known_row():
 def test_a_report_checks_x_once(monkeypatch):
     # Lucas's test factors N - 1: check_candidate runs it once on its x,
     # and a search runs it on none, its x being smallest_generator(N)
-    checked, lucas = [], classcount.is_generator
+    checked, lucas = [], numbertheory.is_generator
 
     def spy(x, N):
         checked.append((x, N))
         return lucas(x, N)
 
-    monkeypatch.setattr(classcount, "is_generator", spy)
+    monkeypatch.setattr(numbertheory, "is_generator", spy)
     row = next(r for r in load_catalog() if r.m == 101)
     assert check_candidate(row.N, row.m, row.x).overall
     assert checked == [(row.x, 154_127)]

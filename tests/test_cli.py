@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import ramsey_forge
 from ramsey_forge import cli
-from ramsey_forge.catalog import RowVerification, export_coloring
+from ramsey_forge.catalog import CatalogRow, RowVerification, export_coloring
 from ramsey_forge.cli import (
     SCAN_CSV_HEADER,
     SEARCH_CSV_HEADER,
@@ -372,6 +372,8 @@ def test_sweep_no_default_bound(capsys):
     code, _, err = run_cli(capsys, "sweep", "--m", "9")
     assert code == 1
     assert "no default bound" in err
+    code, out, err = run_cli(capsys, "sweep", "--m", "1", "--bound", "100")
+    assert (code, out, err) == (1, "", "error: sweep needs m >= 2, got 1\n")
 
 
 def test_verify_range_csv(capsys):
@@ -433,13 +435,28 @@ def test_verify_needs_selection(capsys):
     assert "no catalog rows" in err
 
 
-def test_bound_values(capsys):
+def test_verify_reports_a_row_it_cannot_check(capsys, monkeypatch):
+    # a row whose x does not generate the group is refused by the
+    # engine's generator check, and main reports it like any bad input
+    monkeypatch.setattr(cli.catalog_mod, "load_catalog", lambda: [CatalogRow(2, 5, 4)])
+    code, out, err = run_cli(capsys, "verify", "--all", "--workers", "1")
+    assert (code, out, err) == (1, "", "error: x=4 is not a generator mod 5: its order is below 4\n")
+
+
+def test_bound_values(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "bound", "--colors", "8")
     assert code == 0 and out.strip() == "109602"
     code, out, _ = run_cli(capsys, "bound", "--colors", "13")
     assert code == 0 and out.strip() == "16926797487"
     code, _, err = run_cli(capsys, "bound", "--colors", "1")
     assert code == 1 and "error" in err
+    # the largest bound that converts to a string on Python 3.11+; one
+    # color more is refused before the bound is computed
+    code, out, _ = run_cli(capsys, "bound", "--colors", "1558")
+    assert code == 0 and len(out) == 4301 and out[:-1].isdigit()
+    monkeypatch.setattr(cli, "ramsey_recursive_bound", None)
+    code, out, err = run_cli(capsys, "bound", "--colors", "1559")
+    assert (code, out, err) == (1, "", "error: bound limited to --colors <= 1558, got 1559\n")
 
 
 def test_export_dot_stdout(capsys):
@@ -494,6 +511,8 @@ def test_scan_csv(capsys):
     assert len(lines) > 5
     assert all(ln.endswith(",true") for ln in lines[1:])
     assert "5,2,2,true,true,true,true,true,true,true" in lines
+    code, out, err = run_cli(capsys, "scan", "--nmax", "5000")
+    assert (code, out, err) == (1, "", "error: scan limited to N <= 2000, got 5000\n")
 
 
 def test_scan_output_is_independent_of_workers(capsys):

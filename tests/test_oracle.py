@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ramsey_forge import classcount, oracle
 from ramsey_forge.catalog import export_coloring, load_catalog
 from ramsey_forge.checker import check_candidate
-from ramsey_forge.numbertheory import is_generator, sieve_primes
+from ramsey_forge.numbertheory import is_generator, sieve_primes, smallest_generator
 from ramsey_forge.oracle import (
     LabeledPartition,
     Relation,
@@ -17,8 +18,9 @@ from ramsey_forge.oracle import (
     partition_atoms,
     relation_algebra_check,
 )
-from ramsey_forge.partition import build_partition
+from ramsey_forge.partition import build_partition, generator_walk, partition_from_walk
 from ramsey_forge.report import CheckReport, Witness
+from ramsey_forge.search import candidate_primes, sum_free_cutoff
 
 
 def _definitional_check(p):
@@ -441,3 +443,24 @@ def test_scan_witnesses_recheck_against_their_definitions_to_600():
         _recheck_witness(rec.N, rec.m, rec.x, rec.naive.witness, naive=True)
         if rec.fast.witness.condition != "sum_free":
             assert rec.fast.witness == rec.naive.witness, (rec.N, rec.m)
+
+
+@pytest.mark.parametrize(
+    "m, count, largest, failures",
+    [(8, 32, 1777, {"sum_free": 30, "cyclic_basis": 2}),
+     (13, 166, 17317, {"sum_free": 162, "cyclic_basis": 4})],
+)
+def test_oracle_confirms_the_nonexistence_claims(m, count, largest, failures):
+    # every prime modulus a sweep must check for m = 8 and m = 13, up to
+    # the sum-free cut-off, fails on partitions that share no kernel with
+    # the engine, and with the engine's verdict
+    primes = candidate_primes(m, 0, sum_free_cutoff(m))
+    assert (len(primes), primes[-1]) == (count, largest)
+    found = Counter()
+    for N in primes:
+        x = smallest_generator(N)
+        rep = naive_check(partition_from_walk(generator_walk(N, x), m))
+        assert not rep.overall, N
+        assert rep.flags() == check_candidate(N, m, x).flags(), N
+        found[rep.witness.condition] += 1
+    assert found == failures

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from ramsey_forge import classcount, search
 from ramsey_forge.catalog import load_catalog
 from ramsey_forge.checker import check_candidate
-from ramsey_forge.classcount import MAX_COUNTING_MODULUS
-from ramsey_forge.numbertheory import sieve_primes, smallest_generator
+from ramsey_forge.numbertheory import MAX_COUNTING_MODULUS, sieve_primes, smallest_generator
 from ramsey_forge.search import (
     SEARCH_CSV_HEADER,
     SearchRecord,
