@@ -164,17 +164,17 @@ def _cmd_search(args) -> int:
 
     resume_records: list[SearchRecord] = []
     if args.resume and os.path.isfile(args.out):
-        with open(args.out, encoding="ascii") as f:
-            text = f.read()
-        # records are written a line at a time and flushed, so an
-        # unterminated last line is a record cut off mid-write
-        cut = text.rfind("\n") + 1
-        if text[cut:]:
-            print(f"search: dropping the unfinished last line of {args.out}: "
-                  f"{text[cut:]!r}", file=sys.stderr)
-            text = text[:cut]
         parse = records_from_csv if args.format == "csv" else records_from_jsonl
         try:
+            with open(args.out, encoding="ascii") as f:
+                text = f.read()
+            # records are written a line at a time and flushed, so an
+            # unterminated last line is a record cut off mid-write
+            cut = text.rfind("\n") + 1
+            if text[cut:]:
+                print(f"search: dropping the unfinished last line of {args.out}: "
+                      f"{text[cut:]!r}", file=sys.stderr)
+                text = text[:cut]
             resume_records = parse(text)
         except (ValueError, KeyError) as e:
             raise ValueError(f"cannot resume from {args.out}: {e}") from None

@@ -1,21 +1,23 @@
 """Definition-level reference checks.
 
 Everything in this module computes straight from the definitions: every
-pair of a sumset is tried, relations are explicit boolean matrices, and
-there are no subgroup shortcuts or class-0 reductions.  It is the
-yardstick the fast checker is tested against, so it deliberately shares
-nothing with it beyond numpy.  Both partition types hold each class as
-an ascending int64 array, read alike through `.N` and `.classes`.
-naive_check tests each of the first three conditions on all classes at
-once, from one array of class labels.  The small scan's jobs are its
-prime moduli, run in N order by `search.in_order`; each reads every m's
-classes off one `partition.generator_walk`, the builtin-product walk
-that every partition comes from, sharing no kernel with the engine.
+pair of a sumset is tried, relations are N x N boolean matrices composed
+by their boolean product, and there are no subgroup shortcuts or class-0
+reductions.  It is the yardstick the fast checker is tested against, so
+it deliberately shares nothing with it beyond numpy.  Both partition
+types hold each class as an ascending int64 array, read alike through
+`.N` and `.classes`.  naive_check tests each of the first three
+conditions on all classes at once, from one array of class labels.  The
+small scan's jobs are its prime moduli, run in N order by
+`search.in_order`; each reads every m's classes off one
+`partition.generator_walk`, the builtin-product walk that every
+partition comes from, sharing no kernel with the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,111 +147,81 @@ def naive_check(p: LabeledPartition | CyclotomicPartition) -> CheckReport:
     return CheckReport()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Relation:
-    """Binary relation on {0..N-1}; row u is a bit mask over columns v."""
+    """Binary relation on {0..N-1}: u relates to v iff matrix[u, v], one
+    read-only N x N bool array."""
 
-    N: int
-    rows: tuple[int, ...]
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
+
+    @property
+    def N(self) -> int:
+        return len(self.matrix)
 
     @classmethod
     def identity(cls, N: int) -> "Relation":
-        return cls(N, tuple(1 << u for u in range(N)))
+        return cls(np.eye(N, dtype=bool))
 
     @classmethod
     def empty(cls, N: int) -> "Relation":
-        return cls(N, (0,) * N)
+        return cls(np.zeros((N, N), dtype=bool))
 
     @classmethod
     def from_difference_set(cls, N: int, X: Iterable[int]) -> "Relation":
-        """(u, v) related iff u - v mod N lies in X; built pair by pair."""
-        xs = set(X)
-        rows = []
-        for u in range(N):
-            row = 0
-            for v in range(N):
-                if (u - v) % N in xs:
-                    row |= 1 << v
-            rows.append(row)
-        return cls(N, tuple(rows))
+        """(u, v) related iff u - v mod N lies in X; u - v > -N, and a
+        negative index reads member[N + u - v]."""
+        u = np.arange(N)
+        member = np.isin(u, list(X))
+        return cls(member[u[:, None] - u])
 
-    def _same_size(self, other: "Relation") -> None:
-        if self.N != other.N:
-            raise ValueError(f"size mismatch: {self.N} vs {other.N}")
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Relation) and np.array_equal(self.matrix, other.matrix)
 
     def compose(self, other: "Relation") -> "Relation":
-        """(u, w) in result iff some v has (u, v) here and (v, w) there."""
-        self._same_size(other)
-        out = []
-        for row in self.rows:
-            acc = 0
-            b = row
-            while b:
-                low = b & -b
-                acc |= other.rows[low.bit_length() - 1]
-                b ^= low
-            out.append(acc)
-        return Relation(self.N, tuple(out))
+        """(u, w) in result iff some v has (u, v) here and (v, w) there:
+        the boolean matrix product, an OR of ANDs."""
+        return Relation(self.matrix @ other.matrix)
 
     def converse(self) -> "Relation":
-        out = [0] * self.N
-        for u, row in enumerate(self.rows):
-            b = row
-            while b:
-                low = b & -b
-                out[low.bit_length() - 1] |= 1 << u
-                b ^= low
-        return Relation(self.N, tuple(out))
+        return Relation(self.matrix.T)
 
     def union(self, other: "Relation") -> "Relation":
-        self._same_size(other)
-        return Relation(self.N, tuple(a | b for a, b in zip(self.rows, other.rows)))
+        return Relation(self.matrix | other.matrix)
 
     def complement(self) -> "Relation":
-        mask = (1 << self.N) - 1
-        return Relation(self.N, tuple(~r & mask for r in self.rows))
+        return Relation(~self.matrix)
 
 
 def partition_atoms(p: LabeledPartition | CyclotomicPartition) -> list[Relation]:
     """The difference relations A_i = {(u, v) : u - v in X_i}."""
-    return [Relation.from_difference_set(p.N, c.tolist()) for c in p.classes]
+    return [Relation.from_difference_set(p.N, c) for c in p.classes]
 
 
-def relation_algebra_check(
-    p: LabeledPartition | CyclotomicPartition, cap: int = RELATION_CAP
-) -> bool:
-    """Literal check of the three atom axioms on explicit N x N relations:
+def relation_algebra_check(p: LabeledPartition | CyclotomicPartition) -> bool:
+    """Literal check of the three atom axioms on N x N boolean matrices:
 
         converse(A_i) = A_i
         A_i o A_i     = Id union all other atoms  (= complement of A_i off Id)
         A_i o A_j     = complement of Id          (i != j)
 
-    Quadratic in N, so moduli above `cap` are rejected rather than run.
+    Each relation takes N^2 bytes and each composition N^3 steps, so
+    moduli above RELATION_CAP are rejected rather than run.
     """
     N = p.N
-    if N > cap:
-        raise ValueError(f"modulus {N} exceeds relation-algebra cap {cap}")
+    if N > RELATION_CAP:
+        raise ValueError(f"modulus {N} exceeds relation-algebra cap {RELATION_CAP}")
     atoms = partition_atoms(p)
     ident = Relation.identity(N)
     not_ident = ident.complement()
-
-    for a in atoms:
-        if a.converse() != a:
-            return False
-
     for i, a in enumerate(atoms):
-        expected = ident
-        for j, b in enumerate(atoms):
-            if j != i:
-                expected = expected.union(b)
-        if a.compose(a) != expected:
+        others = atoms[:i] + atoms[i + 1 :]
+        if a.converse() != a or a.compose(a) != reduce(Relation.union, others, ident):
             return False
-
-    for i, a in enumerate(atoms):
-        for j, b in enumerate(atoms):
-            if i != j and a.compose(b) != not_ident:
-                return False
-
+        if any(a.compose(b) != not_ident for b in others):
+            return False
     return True
 
 
@@ -260,11 +232,11 @@ def atom_decomposition(
 
     Greedy works because distinct atoms are disjoint relations.
     """
-    has_id = all(r >> u & 1 for u, r in enumerate(rel.rows))
+    has_id = bool(rel.matrix.diagonal().all())
     acc = ident if has_id else Relation.empty(rel.N)
     picked = []
     for i, a in enumerate(atoms):
-        if all(ar & rr == ar for ar, rr in zip(a.rows, rel.rows)):
+        if not (a.matrix & ~rel.matrix).any():
             picked.append(i)
             acc = acc.union(a)
     if acc != rel:

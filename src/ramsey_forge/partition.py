@@ -41,9 +41,6 @@ class CyclotomicPartition:
     x: int
     classes: tuple[np.ndarray, ...]
 
-    def __iter__(self):
-        return iter(self.classes)
-
 
 def build_partition(N: int, m: int, x: int) -> CyclotomicPartition:
     """All m classes, read as the columns of `generator_walk(N, x)`.

@@ -139,15 +139,19 @@ def test_search_out_file_and_resume(tmp_path, capsys):
     assert out.read_text() == first
 
 
-def test_search_resume_rejects_corrupt_file(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content", [b"m,who,knows\n", b"m,\xff"], ids=["bad_header", "non_ascii"]
+)
+def test_search_resume_rejects_corrupt_file(tmp_path, capsys, content):
+    # a bad header and a non-ASCII byte are both refused with the file named
     out = tmp_path / "records.csv"
-    out.write_text("m,who,knows\n")
+    out.write_bytes(content)
     code, _, err = run_cli(
         capsys, "search", "--m", "2..3", "--bound", "100",
         "--out", str(out), "--resume", "-q",
     )
     assert code == 1
-    assert "cannot resume" in err
+    assert err.startswith(f"error: cannot resume from {out}: ")
 
 
 def test_search_resume_needs_out(capsys, monkeypatch):
