@@ -148,9 +148,8 @@ def verify_rows(
 ) -> list[RowVerification]:
     """`verify_row` on each row, in row order, on up to `workers`
     processes; `progress` fires in row order as each result arrives."""
-    rows = list(rows)
     job = partial(verify_row, minimality=minimality)
-    results = in_order(job, rows, min(workers, len(rows)))
+    results = in_order(job, rows, workers)
     out = []
     with closing(results):
         for i, v in enumerate(results, 1):

@@ -206,6 +206,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.out and args.failures and os.path.realpath(args.out) == os.path.realpath(args.failures):
+        raise ValueError(f"--out and --failures name the same file: {args.out}")
     progress = _Progress("sweep", args.progress_interval, args.quiet)
     failure_log = _document(args.failures) if args.failures else nullcontext()
     workers = _resolve_workers(args.workers)

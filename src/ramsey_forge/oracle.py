@@ -299,5 +299,5 @@ def exhaustive_small_scan(N_max: int, *, workers: int = 1) -> list[ScanRecord]:
     if N_max > ORACLE_SCAN_MAX:
         raise ValueError(f"scan limited to N <= {ORACLE_SCAN_MAX}, got {N_max}")
     moduli = [N for N in sieve_primes(max(N_max, 2)).tolist() if N >= 5]
-    jobs = in_order(_scan_modulus, moduli, min(workers, len(moduli)))
+    jobs = in_order(_scan_modulus, moduli, workers)
     return [r for records in jobs for r in records]

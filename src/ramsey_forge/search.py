@@ -5,7 +5,8 @@ For a color count m the qualifying moduli are primes N = 1 (mod 2m);
 single-generator partition passes the full check, `sweep_nonexistence`
 walks all of them and logs why each fails.  `candidate_primes` lists
 them by sieving that progression alone, a byte per term, from the
-primes up to sqrt(bound); no sieve of the whole range 0..bound is built.
+primes up to sqrt(bound), and both sieve and check one `SEGMENT` of
+terms at a time: no bound below 2^31 holds over a megabyte of flags.
 
 The economics: nearly every candidate dies on the sum-free condition,
 and most of the rest on the cyclic basis.  Both, like symmetry, depend
@@ -23,9 +24,8 @@ A search checks only the window `cyclic_basis_floor(m)` <= N <=
 `sum_free_cutoff(m)`, outside which no candidate can pass (see those
 two for the proofs), and sieves only up to the cut-off.  The candidates
 outside it still count as tested, so a record reads the same as if each
-had been checked; an exhausted search counts those past the cut-off in
-fixed segments (`SEGMENT`), so no bound below 2^31 costs more than a
-megabyte of flags.  A sweep checks and logs every candidate.
+had been checked; an exhausted search counts those past the cut-off a
+segment at a time.  A sweep checks and logs every candidate.
 
 Two runs with the same (m, bound) produce identical records whatever
 the worker count: `in_order` yields them in job order, as plain `map`
@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -63,8 +62,8 @@ DEFAULT_SEARCH_BOUND = 2_000_000
 
 BLOCK_SIZE = 64
 
-# Progression terms per sieve when an exhausted search counts the
-# candidates past the window: a 1 MiB flag array at every bound.
+# Progression terms per sieve of a search or sweep: a 1 MiB flag array
+# at every bound.
 SEGMENT = 1 << 20
 
 ProgressFn = Callable[[int, int, int], None]
@@ -249,13 +248,13 @@ def candidate_primes(m: int, lo: int, hi: int) -> list[int]:
     return (first + step * np.flatnonzero(is_prime)).tolist()
 
 
-def _count_candidates(m: int, lo: int, hi: int) -> int:
-    """len(candidate_primes(m, lo, hi)), sieved `SEGMENT` terms at a
-    time, so a bound near 2^31 never holds its whole progression."""
+def _segments(m: int, lo: int, hi: int) -> Iterator[list[int]]:
+    """candidate_primes(m, lo, hi) in consecutive pieces of `SEGMENT`
+    progression terms, so a bound near 2^31 never holds its whole
+    progression."""
     span = 2 * m * SEGMENT
-    return sum(
-        len(candidate_primes(m, a, min(a + span, hi))) for a in range(lo, hi, span)
-    )
+    for a in range(lo, hi, span):
+        yield candidate_primes(m, a, min(a + span, hi))
 
 
 def _evaluate_block(
@@ -278,19 +277,22 @@ def _evaluate_block(
 
 
 def in_order(fn: Callable, jobs: Iterable, workers: int) -> Iterator:
-    """fn(job) for each job, yielded in job order.  One worker is plain
-    `map`.  More run on a pool at most workers * 4 jobs past the one
-    being waited for; closing the generator, or an error in its
-    consumer, cancels every job that has not started and returns at
-    once; a pool whose jobs were all consumed joins its workers, lest
-    the interpreter's exit hook race their teardown."""
-    if workers <= 1:
-        yield from map(fn, jobs)
+    """fn(job) for each job, yielded in job order.  The first `workers`
+    jobs are read before any starts: one or none runs as plain `map`,
+    more on a pool of one process per job read, at most workers * 4 jobs
+    past the one being waited for.  Closing the generator, or an error in
+    its consumer, cancels every job that has not started and returns at
+    once; a pool whose jobs were all consumed joins its workers, lest the
+    interpreter's exit hook race their teardown."""
+    jobs = iter(jobs)
+    head = list(islice(jobs, max(workers, 1)))
+    if len(head) <= 1:
+        yield from map(fn, chain(head, jobs))
         return
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=len(head))
     window: deque = deque()
     try:
-        for job in jobs:
+        for job in chain(head, jobs):
             window.append(pool.submit(fn, job))
             if len(window) > workers * 4:
                 yield window.popleft().result()
@@ -313,15 +315,13 @@ def _scan_candidates(
     # every candidate outside the window fails; a search lists none past
     # it, and counts them as tested only if it finds nothing
     top = bound if collect_failures else min(bound, sum_free_cutoff(m))
-    candidates = candidate_primes(m, 0, top)
-    lo = 0 if collect_failures else bisect_left(candidates, cyclic_basis_floor(m))
-    checked = candidates[lo:]
-    if len(checked) <= BLOCK_SIZE:
-        workers = 1
+    lo = 0 if collect_failures else min(cyclic_basis_floor(m) - 1, top)
+    done = len(candidate_primes(m, 0, lo))
+    checked = chain.from_iterable(_segments(m, lo, top))
     size = BLOCK_SIZE if workers > 1 else GROUP_ROWS
     blocks = in_order(
         partial(_evaluate_block, m=m, explain=collect_failures),
-        (checked[i : i + size] for i in range(0, len(checked), size)),
+        iter(lambda: list(islice(checked, size)), []),
         workers,
     )
     failures: list[CandidateFailure] = []
@@ -332,7 +332,7 @@ def _scan_candidates(
 
     with closing(blocks):
         results = chain.from_iterable(blocks)
-        for done, (N, x, witness) in enumerate(results, lo + 1):
+        for done, (N, x, witness) in enumerate(results, done + 1):
             if witness is None:
                 # a sweep that finds one reports it rather than keep scanning
                 return finish("found", N, x, done), tuple(failures)
@@ -340,7 +340,7 @@ def _scan_candidates(
                 failures.append(CandidateFailure(N, witness))
             if progress and done % BLOCK_SIZE == 0:
                 progress(m, N, done)
-    tested = len(candidates) + _count_candidates(m, top, bound)
+    tested = done + sum(map(len, _segments(m, top, bound)))
     return finish("exhausted", None, None, tested), tuple(failures)
 
 
@@ -402,9 +402,7 @@ def search_all(
         if r.bound_used == bound and m_lo <= r.m <= m_hi
     }
     pending = [m for m in range(m_lo, m_hi + 1) if m not in resume]
-    computed = in_order(
-        partial(search_min_modulus, bound=bound), pending, min(workers, len(pending))
-    )
+    computed = in_order(partial(search_min_modulus, bound=bound), pending, workers)
     out: list[SearchRecord] = []
     with closing(computed):
         for m in range(m_lo, m_hi + 1):

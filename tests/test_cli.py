@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -365,6 +366,18 @@ def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch, 
     assert os.listdir(tmp_path) == ["dir"] and os.listdir(path) == []
 
 
+@pytest.mark.parametrize("failures", ["P", "./P"])
+def test_sweep_refuses_one_file_for_both_documents(tmp_path, capsys, monkeypatch, failures):
+    # both documents would be written through the same temporary file,
+    # and the second rename would find it gone
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "sweep", "--m", "8", "--bound", "5000", "--out", "P", "--failures", failures
+    )
+    assert (code, out, err) == (1, "", "error: --out and --failures name the same file: P\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_sweep_default_bound_m13(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--m", "13", "-q")
     assert code == 0
@@ -524,6 +537,20 @@ def test_scan_output_is_independent_of_workers(capsys):
     code2, out2, _ = run_cli(capsys, "scan", "--nmax", "300", "--workers", "2")
     assert code1 == code2 == 0
     assert out2 == out1
+
+
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [
+        ("csv", "781dab501bb3d9ad9dae8e569052279c8e8e0ca8a42927e97ad23c4fba9deee1"),
+        ("json", "b6e534362d3862a9352bf506bb3c3a25babf64c10240a6936a988d8d84caf198"),
+    ],
+)
+def test_scan_1200_is_pinned(capsys, fmt, digest):
+    # the crosscheck's whole output, byte for byte, as every change must keep it
+    code, out, _ = run_cli(capsys, "scan", "--nmax", "1200", "--format", fmt, "--workers", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_scan_json(capsys):

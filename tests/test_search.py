@@ -3,7 +3,8 @@ import multiprocessing
 import operator
 import tracemalloc
 from collections import Counter
-from concurrent.futures import process
+from concurrent.futures import ThreadPoolExecutor, process
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,17 +312,35 @@ def test_found_search_sieves_only_to_the_cut_off():
     rec = search_min_modulus(8, 10**6)
     assert rec.status == "exhausted"
     assert rec.candidates_tested == len(candidate_primes(8, 0, 10**6))
+    # a sweep checks every candidate, but sieves only the segment it is
+    # in; listing the whole progression to 10^8 would trace about 148 MiB
+    tracemalloc.start()
+    try:
+        result = sweep_nonexistence(3, 10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert (result.record.status, result.record.N, result.record.candidates_tested) == (
+        "found", 13, 2
+    )
 
 
 @pytest.mark.parametrize("segment", [1, 7, 1000])
 def test_exhausted_count_is_the_same_in_any_segment(monkeypatch, segment):
-    # the candidates past the cut-off are counted a segment at a time;
-    # no candidate may be lost or counted twice at a segment's edge
+    # searches and sweeps take their candidates a segment at a time; no
+    # candidate may be lost or counted twice at a segment's edge
+    sweeps = [(8, 30_000), (13, 40_000)]
+    expected = [sweep_nonexistence(m, bound) for m, bound in sweeps]
     monkeypatch.setattr(search, "SEGMENT", segment)
     for m, bound in [(8, 30_000), (13, 40_000), (8, sum_free_cutoff(8) + 1)]:
         rec = search_min_modulus(m, bound)
         assert rec.status == "exhausted"
         assert rec.candidates_tested == len(candidate_primes(m, 0, bound)), (m, bound)
+    for (m, bound), want in zip(sweeps, expected):
+        got = sweep_nonexistence(m, bound)
+        assert got.failures == want.failures, (m, bound)
+        assert replace(got.record, elapsed_ms=0) == replace(want.record, elapsed_ms=0)
 
 
 def test_search_matches_a_check_of_every_candidate():
@@ -476,6 +495,20 @@ def test_single_job_starts_no_pool(no_pool):
     # one pending m, or one block's worth of candidates, runs in-process
     assert search_all(8, 8, 2_000, workers=2)[0].status == "exhausted"
     assert sweep_nonexistence(3, 50, workers=2).record.N == 13
+
+
+def test_pool_never_outnumbers_its_jobs(monkeypatch):
+    # two jobs on four workers start two processes, not four
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    assert list(search.in_order(operator.neg, iter(range(2)), 4)) == [0, -1]
+    assert sizes == [2]
 
 
 def test_consumer_error_cancels_queued_jobs(counting_pool):
