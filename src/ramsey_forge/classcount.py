@@ -24,7 +24,14 @@ With k even, -1 lies in X_0, so T[0][0] counts the a with a - 1 and a
 both in X_0, that is both with z^k = 1.  The sum-free test scans
 a = 2, 3, ... for the least such a (`_sum_free_scan`); about one a in
 m^2 qualifies, so when k is large against m^2 the scan settles nearly
-every candidate long before a walk of class 0 would.
+every candidate long before a walk of class 0 would.  It scans a
+search's whole block at once, in chunks that every row shares.
+z -> z^k mod N is a character (Berndt, Evans and Williams, Gauss and
+Jacobi Sums, 1998), completely multiplicative, so a chunk powers only
+its primes, one square-and-multiply for all rows with a column of
+exponents and moduli, and multiplies out each composite n as
+chi(p) chi(n / p), p its least prime factor, one dyadic range of n at a
+time, so that n / p <= n / 2 is always known (`_scan_plan`).
 
 A candidate the scan leaves open walks half of class 0, with no
 generator of the whole group: g = y^m, y = `smallest_generator(N, k)`,
@@ -74,8 +81,9 @@ numpy divides int64 by a scalar with a multiply and a shift, where
 `np.remainder` pays one hardware division per element, so on a full
 block the three passes cost less than the one.  `power_walk` and
 `_power_mod` keep `%`: their arrays are mostly the doubling walk's first
-passes and the scan's 64-residue chunks, where a call's fixed cost
-outweighs the division.  The matrix tallies each block's codes with
+passes and the scan's primes, where a call's fixed cost outweighs the
+division, and with a column of moduli no quotient has a scalar divisor
+for numpy to multiply by.  The matrix tallies each block's codes with
 `np.add.at` into one m^2 array, not with `bincount`, which would
 allocate and zero a fresh m^2 array per block (1.25 MiB at m = 400).
 A pass then stops at the matrix: T has no zero off its diagonal, and
@@ -85,11 +93,13 @@ only a triangle failure maps the zeros to classes and walks for z.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 from itertools import accumulate
+from math import isqrt
 
 import numpy as np
 
-from .numbertheory import refuse_large_modulus, require_generator, smallest_generator
+from .numbertheory import refuse_large_modulus, require_generator, sieve_primes, smallest_generator
 from .report import Witness
 
 # Residues per vectorised pass of the table and matrix builders: 512 KiB
@@ -100,13 +110,22 @@ from .report import Witness
 # and one `np.add.at` tally (fast since numpy 1.25) spares the matrix a
 # fresh m^2-bin `bincount` per block; the module docstring says why.
 BLOCK = 1 << 16
-# The sum-free scan gives up past k / SCAN_SHARE residues.  Walking and
-# sorting class 0 costs about as much as scanning k/6 to k/8 (2-core
-# Xeon, numpy 2.4, N = 2,400,001: 0.09 ms at k = 6,250 against 0.11 ms
-# for k/6 and 0.10 ms for k/8; 0.79 ms at k = 50,000 against 0.66 ms for
-# k/6; 4.8 ms at k = 300,000 against 5.3 ms for k/6 and 3.8 ms for k/8),
-# but the m = 8 and m = 13 sweeps ran no faster with k/6 than with k/4.
+# The sum-free scan gives up past k / SCAN_SHARE residues.  On one row
+# that never hits, scanning to k/4 costs about 0.7 to 0.8 of walking and
+# sorting class 0, and to k/8 about 0.4 (2-core Xeon, numpy 2.4.6,
+# N = 2,400,001: 0.24 and 0.12 ms against 0.30 ms at k = 50,000, 1.7
+# and 1.0 ms against 2.3 ms at k = 300,000), but the m = 8 and m = 13
+# sweeps, in blocks of 16 and of 64, to their default bounds and to
+# 2.5M, ran no faster with k/2, k/6 or k/8 than with k/4, within 4%
+# and in no consistent order: nearly every row leaves at its first hit.
 SCAN_SHARE = 4
+# A scan chunk of at most this many residues, over all its rows, powers
+# every one: below it the steps that multiply out its composites cost
+# more numpy passes than the products they spare (one row at m = 8,
+# same machine: 21 against 43 us for z = 2..65, 25 against 26 us for
+# z = 66..193; two rows: 68 against 81 us for z = 2..65, 83 against
+# 67 us for z = 66..193).
+SCAN_DIRECT = 128
 # `power_walk`'s builtin head: a numpy pass over fewer powers costs more.
 WALK_HEAD = 32
 # Rows per group of class-0 walks, and candidates per serial search block.
@@ -205,15 +224,24 @@ def pair_sum_class_matrix(h: np.ndarray, m: int) -> np.ndarray:
     return A + A.T + np.diag(np.arange(m) == h[-1])
 
 
-def _power_mod(z: np.ndarray, e: int, N: int) -> np.ndarray:
-    """z^e mod N elementwise for int64 residues z < N and e >= 1, by
-    square-and-multiply from the top bit; exact for N < 2^31."""
-    out = z.copy()
-    for bit in bin(e)[3:]:
+def _power_mod(z: np.ndarray, e, N) -> np.ndarray:
+    """z^e mod N elementwise for int64 z, 0 <= z < 2^31, by
+    square-and-multiply from the top bit of the largest e.  e >= 1 and N
+    are ints, or int64 columns of shape (r, 1) that give row i of the
+    result z^e[i] mod N[i], as in `power_walk`.  Exact for N < 2^31."""
+    if isinstance(e, np.ndarray):
+        # row i multiplies by z at the set bits of e[i], by 1 elsewhere
+        top = int(e.max()).bit_length()
+        mask = e >> np.arange(top - 1, -1, -1) & 1
+        bits = (np.where(mask[:, i : i + 1], z, 1) for i in range(top))
+    else:
+        bits = (z if bit == "1" else None for bit in bin(e)[2:])
+    out = next(bits).copy()
+    for mul in bits:
         out *= out
         out %= N
-        if bit == "1":
-            out *= z
+        if mul is not None:
+            out *= mul
             out %= N
     return out
 
@@ -231,25 +259,108 @@ def _first_hit(N: int, hit: Callable[[np.ndarray], np.ndarray]) -> int:
     raise AssertionError("witness class unexpectedly empty")
 
 
-def _sum_free_scan(N: int, m: int, budget: int) -> int | None:
-    """The least a >= 2 with a - 1 and a both in X_0 (z^k = 1), or None
-    if the chunks that fit in `budget` residues hold none.  With k even,
-    -1 is in X_0, so it is also the least a in X_0 with 1 - a in X_0.
-    z runs in doubling chunks that overlap by one, so one power per z
-    serves a - 1 and a.
-    """
-    k = (N - 1) // m
-    lo, size = 1, max(64, m * m)
-    while lo < N - 1:
-        hi = min(lo + size, N - 1)
-        if hi - 1 > budget:
-            return None
-        r = _power_mod(np.arange(lo, hi + 1, dtype=np.int64), k, N) == 1
-        hit = np.flatnonzero(r[:-1] & r[1:])
-        if hit.size:
-            return lo + 1 + int(hit[0])
+@lru_cache(maxsize=16)
+def _scan_plan(lo: int, hi: int) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """The primes in (lo, hi], and its composites as columns (n, p, n / p),
+    p the least prime factor of n, in one step per dyadic range (t, 2t],
+    t = lo, 2 lo, ...: n / p <= n / 2 <= t, so a step multiplies only
+    characters of z <= lo, of primes and of earlier steps."""
+    spf = np.arange(hi + 1)
+    for q in sieve_primes(max(isqrt(hi), 2)).tolist():
+        s = spf[q * q :: q]
+        np.minimum(s, q, out=s)
+    n = np.arange(lo + 1, hi + 1)
+    p = spf[n]
+    prime = p == n
+    steps, t = [], lo
+    while t < hi:
+        now = ~prime & (n > t) & (n <= 2 * t)
+        steps.append((n[now], p[now], n[now] // p[now]))
+        t *= 2
+    primes = n[prime]
+    # every caller shares the cached arrays
+    for a in (primes, *(a for step in steps for a in step)):
+        a.setflags(write=False)
+    return primes, steps
+
+
+def _sum_free_scan(Ns: Sequence[int], m: int, budgets: Sequence[int]) -> list[int | None]:
+    """For each N of Ns, the least a >= 2 with a - 1 and a both in X_0
+    (z^k = 1, k = (N - 1) / m), or None if the chunks that fit in its
+    budget of residues hold none.  A row whose first chunk does not fit
+    leaves before any array is built; the chunks stop at N - 1, so a
+    budget of N - 2 or more scans every a.  With k even, -1 is in X_0,
+    so a is also the least a in X_0 with 1 - a in X_0.  Within
+    k // SCAN_SHARE every z is below N; a row whose block scans past its
+    N reads z^k = (z mod N)^k there, and 0 at N, so a pair past N
+    repeats one below it and never comes first."""
+    size = max(64, m * m)
+    found: list[int | None] = [None] * len(Ns)
+    rows = [i for i, (N, budget) in enumerate(zip(Ns, budgets)) if min(size, N - 2) <= budget]
+    if rows:
+        chi = np.ones((len(rows), 2), dtype=np.int64)
+        _scan_rows(found, rows, Ns, budgets, m, chi, 1, size)
+    return found
+
+
+def _scan_rows(
+    found: list, rows: list[int], Ns: Sequence[int], budgets: Sequence[int],
+    m: int, chi: np.ndarray, lo: int, size: int,
+) -> None:
+    """`_sum_free_scan` from the chunk lo..lo + size on, for the rows i of
+    Ns, row i = rows[j] knowing its characters chi[j, z] = z^k mod N of
+    z <= lo.  Every row takes the same chunks, which double, overlap by
+    one, so one character per z serves a - 1 and a, and stop at N - 1.
+    A chunk holds at most `BLOCK` residues, splitting its rows if need
+    be, a longer row alone, and only the rows left open keep their
+    characters, so a split holds one table per level."""
+    while True:
+        col = [Ns[i] for i in rows]
+        hi = min(lo + size, max(col) - 1)
+        if len(rows) > 1 and len(rows) * (hi + 1) > BLOCK:
+            r = max(1, BLOCK // (hi + 1))
+            for j in range(0, len(rows), r):
+                _scan_rows(found, rows[j : j + r], Ns, budgets, m, chi[j : j + r], lo, size)
+            return
+        chi = _characters(col, m, chi, lo, hi)
+        one = chi[:, lo:] == 1
+        pair = one[:, :-1] & one[:, 1:]
+        first, hit = pair.argmax(axis=1).tolist(), pair.any(axis=1).tolist()
+        # a row leaves at its first hit, at N - 1, or once the next chunk
+        # passes its budget
+        keep = []
+        for j, i in enumerate(rows):
+            if hit[j]:
+                found[i] = lo + 1 + first[j]
+            elif hi < Ns[i] - 1 and min(hi + 2 * size, Ns[i] - 1) - 1 <= budgets[i]:
+                keep.append(j)
+        if not keep:
+            return
+        if len(keep) < len(rows):
+            rows, chi = [rows[j] for j in keep], chi[keep]
         lo, size = hi, 2 * size
-    return None
+
+
+def _characters(Ns: list[int], m: int, chi: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """chi, the characters z^k mod N of z <= lo for each N of Ns, extended
+    to z <= hi.  The character is completely multiplicative: the new z
+    that are prime are powered, for all rows at once, and the composites
+    multiplied out in a few steps (`_scan_plan`), unless so few residues
+    are new that powering them all takes fewer numpy passes."""
+    # a single row takes an int exponent and modulus
+    N = Ns[0] if len(Ns) == 1 else np.array(Ns, dtype=np.int64)[:, None]
+    t = np.empty((len(Ns), hi + 1), dtype=np.int64)
+    t[:, : lo + 1] = chi
+    if len(Ns) * (hi - lo) <= SCAN_DIRECT:
+        t[:, lo + 1 :] = _power_mod(np.arange(lo + 1, hi + 1), (N - 1) // m, N)
+        return t
+    primes, steps = _scan_plan(lo, hi)
+    t[:, primes] = _power_mod(primes, (N - 1) // m, N)
+    for n, a, b in steps:
+        v = t[:, a] * t[:, b]
+        v %= N
+        t[:, n] = v
+    return t
 
 
 def _class_zero_witnesses(Ns: Sequence[int], m: int, explain: bool = True) -> list[Witness | None]:
@@ -258,16 +369,17 @@ def _class_zero_witnesses(Ns: Sequence[int], m: int, explain: bool = True) -> li
     unless `explain`, a cyclic-basis failure has residue None.  The
     caller checks that each N is prime and that m divides N - 1."""
     out: list[Witness | None] = []
+    budgets = []
     for N in Ns:
         k = (N - 1) // m
-        if k % 2:
-            # -1 = x^((N-1)/2) falls outside X_0, which makes negation
-            # move every class wholesale; the first failing element of
-            # class 0 is then simply its minimum, x^0 = 1.
-            out.append(Witness("symmetric", (0,), 1))
-            continue
-        a = _sum_free_scan(N, m, k // SCAN_SHARE)
-        out.append(None if a is None else Witness("sum_free", (0, 0), a))
+        # with k odd, -1 = x^((N-1)/2) falls outside X_0, which makes
+        # negation move every class wholesale; the first failing element
+        # of class 0 is then simply its minimum, x^0 = 1.
+        out.append(Witness("symmetric", (0,), 1) if k % 2 else None)
+        budgets.append(0 if k % 2 else k // SCAN_SHARE)
+    for i, a in enumerate(_sum_free_scan(Ns, m, budgets)):
+        if a is not None:
+            out[i] = Witness("sum_free", (0, 0), a)
     walked = [N for N, w in zip(Ns, out) if w is None]
     found: list[Witness | None] = []
     while len(found) < len(walked):
@@ -283,10 +395,14 @@ def _class_zero_witnesses(Ns: Sequence[int], m: int, explain: bool = True) -> li
 def _walked_witnesses(Ns: list[int], m: int, n: int, explain: bool) -> list[Witness | None]:
     """`_class_zero_witnesses` for one group the scan left open, each
     walking a row of n powers of g = y^m, n > each k/2."""
-    col = np.array(Ns, dtype=np.int64)[:, None]
-    g = np.array([pow(smallest_generator(N, (N - 1) // m), m, N) for N in Ns])[:, None]
-    # a single row takes the builtin head
-    X = power_walk(int(g[0, 0]), n, Ns[0])[None] if len(Ns) == 1 else power_walk(g, n, col)
+    g = [pow(smallest_generator(N, (N - 1) // m), m, N) for N in Ns]
+    # a single row takes the builtin head, and an int modulus
+    if len(Ns) == 1:
+        col = Ns[0]
+        X = power_walk(g[0], n, col)[None]
+    else:
+        col = np.array(Ns, dtype=np.int64)[:, None]
+        X = power_walk(np.array(g)[:, None], n, col)
     # N < 2^31, so the folded copy fits int32, which sorts faster
     S = np.minimum(X, col - X).astype(np.int32)
     S.sort(axis=1)

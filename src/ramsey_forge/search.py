@@ -12,12 +12,13 @@ The economics: nearly every candidate dies on the sum-free condition,
 and most of the rest on the cyclic basis.  Both, like symmetry, depend
 on (N, m) alone, and a block of candidates, 16 on one worker and
 `BLOCK_SIZE` on the pool, makes the call every report makes,
-`classcount._class_zero_witnesses`: it scans a few hundred residues for
-two consecutive m-th powers when k is large against m^2, and otherwise
-walks half of class 0 for the block at once, never building the O(N)
-class table.  Only a candidate that passes those three gets a generator
-of the whole group and a table, for the triangle, and a block stops at
-its first pass, so no table is built past it.  A search, which keeps no
+`classcount._class_zero_witnesses`: when k is large against m^2 it
+scans a few hundred residues of every row at once for two consecutive
+m-th powers, powering only the primes, and it walks half of class 0 for
+the rows left open, never building the O(N) class table.  Only a
+candidate that passes those three gets a generator of the whole group
+and a table, for the triangle, and a block stops at its first pass, so
+no table is built past it.  A search, which keeps no
 witness, computes none past its decision; a sweep logs every one.
 
 A search checks only the window `cyclic_basis_floor(m)` <= N <=
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -139,7 +141,15 @@ class CandidateFailure:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        """`to_dict` as compact JSON, formatted directly: a sweep writes
+        one line per candidate, and `json.dumps` costs several times more."""
+        w = self.witness
+        classes = ",".join(map(str, w.classes))
+        residue = "null" if w.residue is None else w.residue
+        return (
+            f'{{"N":{self.N},"failed_check":"{w.condition}",'
+            f'"witness":{{"condition":"{w.condition}","classes":[{classes}],"residue":{residue}}}}}'
+        )
 
 
 @dataclass(frozen=True)
@@ -316,8 +326,13 @@ def _scan_candidates(
     # it, and counts them as tested only if it finds nothing
     top = bound if collect_failures else min(bound, sum_free_cutoff(m))
     lo = 0 if collect_failures else min(cyclic_basis_floor(m) - 1, top)
-    done = len(candidate_primes(m, 0, lo))
-    checked = chain.from_iterable(_segments(m, lo, top))
+    # lo lies in the first segment, which spans 2m * SEGMENT: 2m(m - 1)
+    # does for m <= SEGMENT, and the top, below 2^31, for m >= 1024.  Its
+    # candidates up to lo are counted as tested and dropped.
+    segments = _segments(m, 0, top)
+    head = next(segments)
+    done = bisect_right(head, lo)
+    checked = chain(head[done:], chain.from_iterable(segments))
     size = BLOCK_SIZE if workers > 1 else GROUP_ROWS
     blocks = in_order(
         partial(_evaluate_block, m=m, explain=collect_failures),

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ramsey_forge.classcount import class_index_table, pair_sum_class_matrix, po
 from ramsey_forge.numbertheory import is_generator, sieve_primes, smallest_generator
 from ramsey_forge.partition import build_partition, generator_walk
 from ramsey_forge.report import Witness
-from ramsey_forge.search import candidate_primes
+from ramsey_forge.search import DEFAULT_SWEEP_BOUNDS, candidate_primes
 from reference import (
     full_class_index_table,
     full_pair_sum_class_matrix,
@@ -308,6 +309,10 @@ def test_pair_matrix_row_sums_and_symmetry():
         assert all(int(s) == k for s in sums[1:])
 
 
+def scan_gives_up(Ns, m, budgets):
+    return [None] * len(Ns)
+
+
 def test_sum_free_scan_is_least_walk_violation_to_2000(monkeypatch):
     # with no budget the scan covers every a, so it must find the least
     # violation, or report none when X_0 is sum-free; with the scan made
@@ -318,9 +323,9 @@ def test_sum_free_scan_is_least_walk_violation_to_2000(monkeypatch):
         x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             a = least_sum_free_violation(N, m)
-            assert classcount._sum_free_scan(N, m, N) == a, (N, m)
+            assert classcount._sum_free_scan([N], m, [N]) == [a], (N, m)
             cases.append((N, m, x, a))
-    monkeypatch.setattr(classcount, "_sum_free_scan", lambda *args: None)
+    monkeypatch.setattr(classcount, "_sum_free_scan", scan_gives_up)
     for N, m, x, a in cases:
         rep = check_candidate(N, m, x)
         if a is None:
@@ -347,6 +352,71 @@ def test_scanned_witness_is_least_walk_violation_near_2_5m(monkeypatch):
     for (N, m), rep in reports.items():
         assert rep.witness.condition == "sum_free", (N, m)
         assert rep.witness.residue == least_sum_free_violation(N, m), (N, m)
+
+
+def scan_reach(m, budget):
+    """The last z that the scan's chunks reach within budget, or 0 when
+    its first chunk, 1..1 + max(64, m^2), does not fit."""
+    lo, size, reach = 1, max(64, m * m), 0
+    while lo + size - 1 <= budget:
+        reach = lo = lo + size
+        size *= 2
+    return reach
+
+
+@cache
+def scan_cases():
+    """(m, Ns, budgets, reach, expected) for every candidate, k even, of
+    the two sweeps to their default bounds and of m = 2..40 to 50,000:
+    expected is the least violation if the budget's chunks reach it."""
+    cases = []
+    for m, bound in [(8, DEFAULT_SWEEP_BOUNDS[8]), (13, DEFAULT_SWEEP_BOUNDS[13])] + [
+        (m, 50_000) for m in range(2, 41)
+    ]:
+        Ns = candidate_primes(m, 0, bound)
+        budgets = [(N - 1) // m // classcount.SCAN_SHARE for N in Ns]
+        reach = [scan_reach(m, b) for b in budgets]
+        expected = []
+        for N, r in zip(Ns, reach):
+            a = least_sum_free_violation(N, m) if r else None
+            expected.append(a if a is not None and a <= r else None)
+        cases.append((m, Ns, budgets, reach, expected))
+    return cases
+
+
+@pytest.mark.parametrize("rows", [1, 16, 64])
+def test_block_scan_is_least_violation_within_budget(rows):
+    # every block gives each row the builtin-pow least violation when its
+    # budget's chunks reach that far, else None, whatever the block size
+    mixed = 0
+    for m, Ns, budgets, reach, expected in scan_cases():
+        for i in range(0, len(Ns), rows):
+            part = slice(i, i + rows)
+            found = classcount._sum_free_scan(Ns[part], m, budgets[part])
+            assert found == expected[part], (m, Ns[part])
+            # a block whose rows leave both at a hit and at their budgets
+            spent = [r and a is None for r, a in zip(reach[part], expected[part])]
+            mixed += any(spent) and any(a is not None for a in expected[part])
+    assert sum(len(Ns) for _, Ns, *_ in scan_cases()) == 23_275
+    assert mixed >= (0 if rows == 1 else 50), mixed
+
+
+def test_block_scan_working_set_stays_near_block():
+    # 64 rows of a sum-free class 0 never hit, so with a budget past N
+    # each scans to z = N - 1; one table for all of them would hold
+    # 64 * 29,581 int64, 15.1 MB, where split rows hold about `BLOCK`
+    # int64 per level of the split
+    N, m = 29_581, 30
+    assert least_sum_free_violation(N, m) is None
+    classcount._scan_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        found = classcount._sum_free_scan([N] * 64, m, [1 << 30] * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [None] * 64
+    assert peak < 6 << 20, peak
 
 
 def test_walked_sum_free_failure_allocates_far_below_n():
@@ -376,7 +446,7 @@ def test_class_zero_witness_needs_no_generator_to_3000(monkeypatch, walk_only):
     # the triangle, as at (2441, 20) and (2843, 29); with the scan made
     # to give up, every case walks the class 0 that y^m generates
     if walk_only:
-        monkeypatch.setattr(classcount, "_sum_free_scan", lambda *args: None)
+        monkeypatch.setattr(classcount, "_sum_free_scan", scan_gives_up)
     outcomes = Counter()
     for N in sieve_primes(3000).tolist()[1:]:
         x = smallest_generator(N)

@@ -14,8 +14,10 @@ from ramsey_forge import classcount, search
 from ramsey_forge.catalog import load_catalog
 from ramsey_forge.checker import check_candidate
 from ramsey_forge.numbertheory import MAX_COUNTING_MODULUS, sieve_primes, smallest_generator
+from ramsey_forge.report import Witness
 from ramsey_forge.search import (
     SEARCH_CSV_HEADER,
+    CandidateFailure,
     SearchRecord,
     candidate_primes,
     check_bound,
@@ -381,6 +383,23 @@ def test_sweep_small_example():
     assert f.failed_check == "cyclic_basis"
     assert f.witness.classes == (0,)
     assert f.witness.residue == 3
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        Witness("symmetric", (0,), 1),
+        Witness("sum_free", (0, 0), 2_147_483_646),
+        Witness("cyclic_basis", (0,), None),
+        Witness("triangle", (0, 17), 40),
+    ],
+)
+def test_failure_line_is_the_compact_json_of_its_dict(witness):
+    # a sweep log line is formatted directly, but must read as json.dumps
+    # would write it, a missing residue as null
+    fail = CandidateFailure(2_147_483_647, witness)
+    assert fail.to_json() == json.dumps(fail.to_dict(), separators=(",", ":"))
+    assert json.loads(fail.to_json()) == fail.to_dict()
 
 
 def test_sweep_found_reports_found():
