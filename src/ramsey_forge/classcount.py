@@ -55,8 +55,8 @@ z^k = (x^k)^j, so row 0 reaches as many classes as there are distinct
 characters (1 - a)^k over X_0 \\ {1}.  A sum-free X_0 is a cyclic basis
 iff they take all m - 1 values other than 1, which costs O(k log N) on
 the walk and no table.  Only the few candidates that pass the first
-three conditions build a class table and the full matrix, for the
-triangle condition, whose witness is read off that table; -1 in X_0
+three conditions build a class table and the zero pattern of T, for
+the triangle condition, whose witness is read off that table; -1 in X_0
 lets both read only half the group (see `class_index_table`), and both
 run over it in blocks of `BLOCK` residues, so neither allocates an
 O(N) int64 array.
@@ -83,11 +83,13 @@ block the three passes cost less than the one.  `power_walk` and
 `_power_mod` keep `%`: their arrays are mostly the doubling walk's first
 passes and the scan's primes, where a call's fixed cost outweighs the
 division, and with a column of moduli no quotient has a scalar divisor
-for numpy to multiply by.  The matrix tallies each block's codes with
-`np.add.at` into one m^2 array, not with `bincount`, which would
-allocate and zero a fresh m^2 array per block (1.25 MiB at m = 400).
-A pass then stops at the matrix: T has no zero off its diagonal, and
-only a triangle failure maps the zeros to classes and walks for z.
+for numpy to multiply by.  The triangle reads only which T[p][q] vanish,
+so it sets each block's pair codes in one m^2 bool mask, where
+`pair_sum_class_matrix` tallies them with `np.add.at`: one loop over the
+codes (`_pair_table`) serves both, and the mask needs no m^2 int64 array.
+A pass stops at the mask, which has no zero off its diagonal; only a
+failure maps the zeros to classes and walks for z.  The table's walk
+and fold, and then the codes, reuse two arrays that a process keeps.
 """
 
 from __future__ import annotations
@@ -96,19 +98,19 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import accumulate
 from math import isqrt
+from operator import setitem
+from threading import get_ident
 
 import numpy as np
 
 from .numbertheory import refuse_large_modulus, require_generator, sieve_primes, smallest_generator
 from .report import Witness
 
-# Residues per vectorised pass of the table and matrix builders: 512 KiB
-# of int64.  Their working set is then the same at every N, so the
-# process peak does not hinge on where the allocator put earlier arrays.
+# Residues per vectorised pass of the table, mask and matrix: 512 KiB of
+# int64 at every N, in two arrays that a process keeps (`_block_buffers`),
+# so no row faults in fresh pages for them.
 # At this size the table's divide-free step, z - (z // N) N, costs about
-# 2.0 ns per residue against 4.5 ns for z % N (2-core Xeon, numpy 2.4.6),
-# and one `np.add.at` tally (fast since numpy 1.25) spares the matrix a
-# fresh m^2-bin `bincount` per block; the module docstring says why.
+# 2.0 ns per residue against 4.5 ns for z % N (2-core Xeon, numpy 2.4.6).
 BLOCK = 1 << 16
 # The sum-free scan gives up past k / SCAN_SHARE residues.  On one row
 # that never hits, scanning to k/4 costs about 0.7 to 0.8 of walking and
@@ -132,12 +134,13 @@ WALK_HEAD = 32
 GROUP_ROWS = 16
 
 
-def power_walk(g, n: int, N) -> np.ndarray:
+def power_walk(g, n: int, N, out: np.ndarray | None = None) -> np.ndarray:
     """g^0, g^1, ..., g^(n-1) mod N as int64: every list of successive
-    powers starts here.  g and N are ints, or int64 columns of shape
-    (r, 1) that give row i the powers of g[i] mod N[i]; a builtin head
-    per row would cost more than the doubling passes it spares.  Refuses
-    moduli the int64 products cannot hold before allocating anything."""
+    powers starts here.  g and N are ints, the powers filling out[:n] if
+    out is given, or int64 columns of shape (r, 1) that give row i the
+    powers of g[i] mod N[i]; a builtin head per row would cost more than
+    the doubling passes it spares.  Refuses moduli the int64 products
+    cannot hold before allocating anything."""
     if isinstance(g, np.ndarray):
         refuse_large_modulus(int(N.max()))
         out = np.empty((len(g), n), dtype=np.int64)
@@ -145,7 +148,7 @@ def power_walk(g, n: int, N) -> np.ndarray:
         filled, z = min(n, 1), g
     else:
         refuse_large_modulus(N)
-        out = np.empty(n, dtype=np.int64)
+        out = np.empty(n, dtype=np.int64) if out is None else out[:n]
         filled, z = min(n, WALK_HEAD), 1
         for i in range(filled):
             out[i] = z
@@ -183,9 +186,9 @@ def _half_table(N: int, m: int, x: int) -> np.ndarray:
     """
     H = (N - 1) // 2
     B = min(H, m * max(1, BLOCK // m))
-    z = power_walk(x, B, N)
+    walk, fold = _block_buffers(max(B, BLOCK), get_ident())
+    z, fold = power_walk(x, B, N, walk), fold[:B]
     step = pow(x, B, N)
-    fold = np.empty_like(z)
     h = np.empty(H + 1, dtype=np.min_scalar_type(-m))
     h[0] = -1
     classes = np.tile(np.arange(m, dtype=h.dtype), B // m)
@@ -204,22 +207,33 @@ def _half_table(N: int, m: int, x: int) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=1)
+def _block_buffers(size: int, thread: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two int64 arrays for the table's walk and fold, the second lent to
+    the pair codes, kept while size and thread (`get_ident()`) repeat."""
+    return np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+
+
 def pair_sum_class_matrix(h: np.ndarray, m: int) -> np.ndarray:
     """T[p][q] = number of ordered pairs (a, b), a + b = 1, with classes
-    (p, q), from the half table h, H = len(h) - 1.  The pairs are
-    (a, N + 1 - a), a = 2..N-1.  For a <= H the partner folds to a - 1,
-    so A tallies the int64 codes h[a] * m + h[a - 1], `BLOCK` at a time;
-    the pairs past H + 1 are their transposes, and a = H + 1 pairs with
-    itself in class c = h[H]: T = A + A^T + e_c e_c^T.
-    """
-    H = h.size - 1
-    A = np.zeros(m * m, dtype=np.int64)
-    codes = np.empty(min(BLOCK, max(H - 1, 0)), dtype=np.int64)
-    for a in range(2, H + 1, BLOCK):
-        c = codes[: min(BLOCK, H + 1 - a)]
+    (p, q), from the half table h, H = len(h) - 1: `_pair_table` with
+    each pair tallied by `np.add.at`."""
+    return _pair_table(h, m, np.int64, np.add.at)
+
+
+def _pair_table(h: np.ndarray, m: int, dtype, mark: Callable) -> np.ndarray:
+    """T, or T > 0 with dtype bool and mark `setitem`.  The pairs are (a,
+    N + 1 - a), a = 2..N-1; for a <= H the partner folds to a - 1, so
+    mark(A, codes, 1) takes the int64 codes h[a] m + h[a - 1], `BLOCK` at
+    a time in scratch; the pairs past H + 1 are their transposes, and
+    a = H + 1 pairs with itself in class c = h[H]: T = A + A^T + e_c e_c^T."""
+    A = np.zeros(m * m, dtype=dtype)
+    codes = _block_buffers(BLOCK, get_ident())[1]
+    for a in range(2, h.size, BLOCK):
+        c = codes[: min(BLOCK, h.size - a)]
         np.multiply(h[a : a + c.size], m, out=c, dtype=np.int64)
         c += h[a - 1 : a - 1 + c.size]
-        np.add.at(A, c, 1)
+        mark(A, c, 1)
     A = A.reshape(m, m)
     return A + A.T + np.diag(np.arange(m) == h[-1])
 
@@ -448,19 +462,16 @@ def _triangle_witness(N: int, m: int, x: int) -> Witness | None:
     # m = 1 never gets here: X_0 is then the whole group and fails
     # sum_free at a = 2.
     h = _half_table(N, m, x)
-    T = pair_sum_class_matrix(h, m)
+    S = _pair_table(h, m, bool, setitem)
     # T[0][0] = 0 and the rest of the diagonal is positive, so the
     # triangle holds iff that is the only zero
-    if np.count_nonzero(T) == m * m - 1:
+    if np.count_nonzero(S) == m * m - 1:
         return None
     # gap[p, i]: T[p][p + i] vanishes, so X_0 + X_i misses class -p
-    p = np.arange(m)
-    q = p[:, None] + p
-    q %= m
-    gap = (T == 0)[p[:, None], q]
+    p = np.arange(m)[:, None]
+    gap = ~S[p, (p + p.T) % m]
     i = int(np.flatnonzero(gap[:, 1:].any(axis=0))[0]) + 1
     wanted = np.zeros(m, dtype=bool)
     wanted[(m - np.flatnonzero(gap[:, i])) % m] = True
     z = _first_hit(N, lambda z: wanted[h[np.minimum(z, N - z)]])
     return Witness("triangle", (0, i), z)
-

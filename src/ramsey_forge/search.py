@@ -326,11 +326,10 @@ def _scan_candidates(
     # it, and counts them as tested only if it finds nothing
     top = bound if collect_failures else min(bound, sum_free_cutoff(m))
     lo = 0 if collect_failures else min(cyclic_basis_floor(m) - 1, top)
-    # lo lies in the first segment, which spans 2m * SEGMENT: 2m(m - 1)
-    # does for m <= SEGMENT, and the top, below 2^31, for m >= 1024.  Its
-    # candidates up to lo are counted as tested and dropped.
+    # the candidates up to lo, all in the segments that start below it
+    # (one while m <= SEGMENT), are counted as tested and dropped
     segments = _segments(m, 0, top)
-    head = next(segments)
+    head = list(chain.from_iterable(islice(segments, -(-lo // (2 * m * SEGMENT)))))
     done = bisect_right(head, lo)
     checked = chain(head[done:], chain.from_iterable(segments))
     size = BLOCK_SIZE if workers > 1 else GROUP_ROWS

@@ -40,6 +40,10 @@ FAILURE_LOG_SHA256 = {
     13: "6007fd6fda5e2caf3ddcc754619bf4e112c38623cc6e1cddfb7778e239e9bfff",
 }
 
+# SHA-256 of `verify --all --out`, header included, with each line cut to
+# its first 11 columns (the last, elapsed_ms, is a timing)
+VERIFY_COLUMNS_SHA256 = "c86eecd923794646bf2183375ffa43d127cde503156e1885e122fee8cfedcb6b"
+
 
 @pytest.fixture(scope="module", autouse=True)
 def _write_report():
@@ -70,13 +74,17 @@ def test_criterion_01_catalog_fully_verified(tmp_path, capsys):
     done = _timed(1800.0)
     out = tmp_path / "verify.csv"
     code = main(["verify", "--all", "-q", "--out", str(out)])
-    rows = out.read_text().splitlines()[1:]
+    lines = out.read_text().splitlines()
+    rows = lines[1:]
     n_pass = sum(1 for r in rows if r.split(",")[10] == "true")
+    columns = "".join(",".join(line.split(",")[:11]) + "\n" for line in lines)
+    pinned = hashlib.sha256(columns.encode()).hexdigest() == VERIFY_COLUMNS_SHA256
     dt, in_budget = done()
-    ok = code == 0 and len(rows) == 397 and n_pass == 397 and in_budget
+    ok = code == 0 and len(rows) == 397 and n_pass == 397 and pinned and in_budget
     _report(
         1, "catalog validity", ok,
-        f"exit={code}, {n_pass}/397 rows passed, {dt:.1f}s (budget 1800s)",
+        f"exit={code}, {n_pass}/397 rows passed, columns pinned={pinned}, "
+        f"{dt:.1f}s (budget 1800s)",
     )
 
 

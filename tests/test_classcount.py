@@ -1,6 +1,9 @@
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from functools import cache
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -198,7 +201,7 @@ def test_class_table_rejects_non_generator():
 
 def test_class_table_and_pair_matrix_in_small_blocks(monkeypatch):
     # blocks of one power, shorter than m, and not dividing H give the
-    # tables and matrices of a single block
+    # tables, matrices and triangle verdicts of a single block
     sieve = sieve_primes(400)
     cases = []
     for N in sieve.tolist()[1:]:
@@ -206,11 +209,21 @@ def test_class_table_and_pair_matrix_in_small_blocks(monkeypatch):
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             h = class_index_table(N, m, x)
             cases.append((N, m, x, h, pair_sum_class_matrix(h, m)))
+    # every case that meets the first three conditions passes; the two
+    # least triangle failures of any m give a witness
+    triangles = {
+        (N, m, x): classcount._triangle_witness(N, m, x)
+        for N, m, x in [c[:3] for c in cases] + [(2441, 20, 6), (2843, 29, 2)]
+        if classcount._class_zero_witnesses([N], m) == [None]
+    }
+    assert Counter(w is None for w in triangles.values()) == {True: 8, False: 2}
     for block in (1, 5, 64):
         monkeypatch.setattr(classcount, "BLOCK", block)
         for N, m, x, h, T in cases:
             assert np.array_equal(class_index_table(N, m, x), h), (block, N, m)
             assert np.array_equal(pair_sum_class_matrix(h, m), T), (block, N, m)
+        for (N, m, x), witness in triangles.items():
+            assert classcount._triangle_witness(N, m, x) == witness, (block, N, m)
     # x = 5^3 mod 97 has x^48 = -1 but order 32: its walk returns to 1
     # in a later block
     monkeypatch.setattr(classcount, "BLOCK", 5)
@@ -279,6 +292,68 @@ def test_pair_matrix_matches_definition():
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             T = pair_sum_class_matrix(class_index_table(N, m, x), m)
             assert np.array_equal(T, reference_pair_matrix(log, m)), (N, m)
+
+
+def test_pair_mask_is_where_the_pair_matrix_is_positive_to_2000():
+    # the triangle's mask and the public matrix share their code loop
+    # and their fold; only the mark differs
+    for N in sieve_primes(2000).tolist()[1:]:
+        x = smallest_generator(N)
+        for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
+            h = class_index_table(N, m, x)
+            S = classcount._pair_table(h, m, bool, setitem)
+            assert S.dtype == bool and np.array_equal(S, pair_sum_class_matrix(h, m) > 0), (N, m)
+
+
+def test_triangle_pass_holds_little_past_its_table():
+    # N = 2,387,201, m = 373: the int16 half table is 2.28 MiB; the walk,
+    # the fold and the codes reuse arrays the process keeps, and the
+    # mask holds m^2 bools, where an int64 tally would hold m^2 int64
+    row = next(r for r in load_catalog() if r.N == 2387201)
+    table = ((row.N - 1) // 2 + 1) * 2
+    assert classcount._triangle_witness(row.N, row.m, row.x) is None
+    tracemalloc.start()
+    try:
+        assert classcount._triangle_witness(row.N, row.m, row.x) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table + (1 << 20), (peak, table)
+
+
+def test_later_tables_leave_a_returned_table_unchanged():
+    # the reused arrays are scratch: no table handed to a caller is one
+    rows = [r for r in load_catalog() if r.m in (20, 84, 164, 244)]
+    tables = [class_index_table(r.N, r.m, r.x) for r in rows]
+    kept = [h.copy() for h in tables]
+    for r in rows:
+        classcount._triangle_witness(r.N, r.m, r.x)
+        pair_sum_class_matrix(class_index_table(r.N, r.m, r.x), r.m)
+    for r, h, want in zip(rows, tables, kept):
+        assert np.array_equal(h, want), r
+
+
+def test_threads_never_share_the_scratch_arrays():
+    # numpy drops the interpreter lock inside its loops, so threads that
+    # shared the walk, fold and code arrays would mix their blocks
+    rows = [r for r in load_catalog() if r.m in (60, 84, 100, 120)]
+    want = [pair_sum_class_matrix(class_index_table(r.N, r.m, r.x), r.m) for r in rows]
+
+    def agrees(i):
+        r = rows[i % len(rows)]
+        return all(
+            np.array_equal(pair_sum_class_matrix(class_index_table(r.N, r.m, r.x), r.m), want[i % len(rows)])
+            for _ in range(4)
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            done = [pool.submit(agrees, i) for i in range(8)]
+            assert all(f.result(timeout=60) for f in done)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_pair_matrix_matches_full_table_on_catalog_rows():

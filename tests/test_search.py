@@ -345,6 +345,24 @@ def test_exhausted_count_is_the_same_in_any_segment(monkeypatch, segment):
         assert replace(got.record, elapsed_ms=0) == replace(want.record, elapsed_ms=0)
 
 
+@pytest.mark.parametrize("segment", [1, 7, search.SEGMENT])
+def test_search_checks_nothing_below_the_window_in_any_segment(monkeypatch, segment):
+    # the candidates up to cyclic_basis_floor(m) - 1 = 112 span many
+    # segments of one term; each is counted as tested, none is checked
+    checked = []
+
+    def spy(Ns, m, explain):
+        checked.extend(Ns)
+        return evaluate(Ns, m, explain)
+
+    evaluate = search._evaluate_block
+    monkeypatch.setattr(search, "_evaluate_block", spy)
+    monkeypatch.setattr(search, "SEGMENT", segment)
+    rec = search_min_modulus(8, 30_000)
+    assert (rec.status, rec.candidates_tested) == ("exhausted", 399)
+    assert min(checked) == cyclic_basis_floor(8) == 113
+
+
 def test_search_matches_a_check_of_every_candidate():
     # the window and the lazy generator change no field but the time
     bound = 20_000
