@@ -186,8 +186,8 @@ def _half_table(N: int, m: int, x: int) -> np.ndarray:
     """
     H = (N - 1) // 2
     B = min(H, m * max(1, BLOCK // m))
-    walk, fold = _block_buffers(max(B, BLOCK), get_ident())
-    z, fold = power_walk(x, B, N, walk), fold[:B]
+    z, fold = _block_buffers(max(B, BLOCK), get_ident())
+    z, fold = power_walk(x, B, N, z), fold[:B]
     step = pow(x, B, N)
     h = np.empty(H + 1, dtype=np.min_scalar_type(-m))
     h[0] = -1
