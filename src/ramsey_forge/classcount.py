@@ -41,11 +41,11 @@ element one above its predecessor is the least a: a pair (a - 1, a)
 above H negates to the smaller (N - a, N - a + 1), and (H, H + 1) =
 (H, -H) puts 2 = -1/H in X_0, so (1, 2) comes first unless N = 3.
 `_class_zero_witnesses` decides the first three conditions for every
-caller, one N or a search's block, whose open candidates walk as rows
-of one array, each with its own g and N, in groups of at most
-`GROUP_ROWS` rows and `BLOCK` residues, a longer row alone.  A row of
-smaller k walks on to its group's longest: that only repeats folded
-values, so it cannot create a step of one.
+caller, one N or a block of candidates, whose open candidates walk as
+rows of one array, each with its own g and N, in groups of at most
+`BLOCK` residues, a longer row alone.  A row of smaller k walks on to
+its group's longest: that only repeats folded values, so it cannot
+create a step of one.
 
 T holds the cyclotomic numbers of order m.  With k even, Gauss's
 relations (i, j) = (j, i) = (-i, j - i) give T[d][d] = T[0][-d mod m]
@@ -84,12 +84,12 @@ block the three passes cost less than the one.  `power_walk` and
 passes and the scan's primes, where a call's fixed cost outweighs the
 division, and with a column of moduli no quotient has a scalar divisor
 for numpy to multiply by.  The triangle reads only which T[p][q] vanish,
-so it sets each block's pair codes in one m^2 bool mask, where
-`pair_sum_class_matrix` tallies them with `np.add.at`: one loop over the
-codes (`_pair_table`) serves both, and the mask needs no m^2 int64 array.
-A pass stops at the mask, which has no zero off its diagonal; only a
-failure maps the zeros to classes and walks for z.  The table's walk
-and fold, and then the codes, reuse two arrays that a process keeps.
+so `_pair_mask` sets each block's pair codes in one m^2 bool mask and
+needs no m^2 int64 array.  A pass stops at the mask, which has no zero
+off its diagonal; only a failure maps the zeros to classes and walks for
+z.  The table's walk and fold, and then the codes, reuse two arrays that
+a process keeps.  The public `pair_sum_class_matrix` counts T itself,
+with a `np.bincount` per block, on arrays of its own.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import accumulate
 from math import isqrt
-from operator import setitem
 from threading import get_ident
 
 import numpy as np
@@ -107,8 +106,8 @@ from .numbertheory import refuse_large_modulus, require_generator, sieve_primes,
 from .report import Witness
 
 # Residues per vectorised pass of the table, mask and matrix: 512 KiB of
-# int64 at every N, in two arrays that a process keeps (`_block_buffers`),
-# so no row faults in fresh pages for them.
+# int64 at every N.  The table and mask take theirs from two arrays that
+# a process keeps (`_block_buffers`), so no row faults in fresh pages.
 # At this size the table's divide-free step, z - (z // N) N, costs about
 # 2.0 ns per residue against 4.5 ns for z % N (2-core Xeon, numpy 2.4.6).
 BLOCK = 1 << 16
@@ -121,17 +120,8 @@ BLOCK = 1 << 16
 # 2.5M, ran no faster with k/2, k/6 or k/8 than with k/4, within 4%
 # and in no consistent order: nearly every row leaves at its first hit.
 SCAN_SHARE = 4
-# A scan chunk of at most this many residues, over all its rows, powers
-# every one: below it the steps that multiply out its composites cost
-# more numpy passes than the products they spare (one row at m = 8,
-# same machine: 21 against 43 us for z = 2..65, 25 against 26 us for
-# z = 66..193; two rows: 68 against 81 us for z = 2..65, 83 against
-# 67 us for z = 66..193).
-SCAN_DIRECT = 128
 # `power_walk`'s builtin head: a numpy pass over fewer powers costs more.
 WALK_HEAD = 32
-# Rows per group of class-0 walks, and candidates per serial search block.
-GROUP_ROWS = 16
 
 
 def power_walk(g, n: int, N, out: np.ndarray | None = None) -> np.ndarray:
@@ -216,26 +206,35 @@ def _block_buffers(size: int, thread: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_sum_class_matrix(h: np.ndarray, m: int) -> np.ndarray:
     """T[p][q] = number of ordered pairs (a, b), a + b = 1, with classes
-    (p, q), from the half table h, H = len(h) - 1: `_pair_table` with
-    each pair tallied by `np.add.at`."""
-    return _pair_table(h, m, np.int64, np.add.at)
+    (p, q), from the half table h, H = len(h) - 1.  The pairs are (a,
+    N + 1 - a), a = 2..N-1; for a <= H the partner folds to a - 1, so A
+    counts the codes h[a] m + h[a - 1], `BLOCK` at a time; the pairs past
+    H + 1 are their transposes, and a = H + 1 pairs with itself in class
+    c = h[H]: T = A + A^T + e_c e_c^T."""
+    A = np.zeros(m * m, dtype=np.int64)
+    for a in range(2, h.size, BLOCK):
+        pair = h[a - 1 : a + BLOCK].astype(np.int64)
+        A += np.bincount(pair[1:] * m + pair[:-1], minlength=m * m)
+    A = A.reshape(m, m)
+    T = A + A.T
+    T[h[-1], h[-1]] += 1
+    return T
 
 
-def _pair_table(h: np.ndarray, m: int, dtype, mark: Callable) -> np.ndarray:
-    """T, or T > 0 with dtype bool and mark `setitem`.  The pairs are (a,
-    N + 1 - a), a = 2..N-1; for a <= H the partner folds to a - 1, so
-    mark(A, codes, 1) takes the int64 codes h[a] m + h[a - 1], `BLOCK` at
-    a time in scratch; the pairs past H + 1 are their transposes, and
-    a = H + 1 pairs with itself in class c = h[H]: T = A + A^T + e_c e_c^T."""
-    A = np.zeros(m * m, dtype=dtype)
+def _pair_mask(h: np.ndarray, m: int) -> np.ndarray:
+    """T > 0 as an m x m bool mask, from the codes and the fold of
+    `pair_sum_class_matrix`: each block's codes are marked in scratch."""
+    S = np.zeros(m * m, dtype=bool)
     codes = _block_buffers(BLOCK, get_ident())[1]
     for a in range(2, h.size, BLOCK):
         c = codes[: min(BLOCK, h.size - a)]
         np.multiply(h[a : a + c.size], m, out=c, dtype=np.int64)
         c += h[a - 1 : a - 1 + c.size]
-        mark(A, c, 1)
-    A = A.reshape(m, m)
-    return A + A.T + np.diag(np.arange(m) == h[-1])
+        S[c] = True
+    S = S.reshape(m, m)
+    S |= S.T
+    S[h[-1], h[-1]] = True
+    return S
 
 
 def _power_mod(z: np.ndarray, e, N) -> np.ndarray:
@@ -359,15 +358,11 @@ def _characters(Ns: list[int], m: int, chi: np.ndarray, lo: int, hi: int) -> np.
     """chi, the characters z^k mod N of z <= lo for each N of Ns, extended
     to z <= hi.  The character is completely multiplicative: the new z
     that are prime are powered, for all rows at once, and the composites
-    multiplied out in a few steps (`_scan_plan`), unless so few residues
-    are new that powering them all takes fewer numpy passes."""
+    multiplied out in a few steps (`_scan_plan`)."""
     # a single row takes an int exponent and modulus
     N = Ns[0] if len(Ns) == 1 else np.array(Ns, dtype=np.int64)[:, None]
     t = np.empty((len(Ns), hi + 1), dtype=np.int64)
     t[:, : lo + 1] = chi
-    if len(Ns) * (hi - lo) <= SCAN_DIRECT:
-        t[:, lo + 1 :] = _power_mod(np.arange(lo + 1, hi + 1), (N - 1) // m, N)
-        return t
     primes, steps = _scan_plan(lo, hi)
     t[:, primes] = _power_mod(primes, (N - 1) // m, N)
     for n, a, b in steps:
@@ -397,7 +392,7 @@ def _class_zero_witnesses(Ns: Sequence[int], m: int, explain: bool = True) -> li
     walked = [N for N, w in zip(Ns, out) if w is None]
     found: list[Witness | None] = []
     while len(found) < len(walked):
-        rows = walked[len(found) : len(found) + GROUP_ROWS]
+        rows = walked[len(found) :]
         # a group walks its longest row; rows * walk grows along the rows
         wide = list(accumulate([(N - 1) // m // 2 + 1 for N in rows], max))
         r = max(1, sum(n * i <= BLOCK for i, n in enumerate(wide, 1)))
@@ -462,7 +457,7 @@ def _triangle_witness(N: int, m: int, x: int) -> Witness | None:
     # m = 1 never gets here: X_0 is then the whole group and fails
     # sum_free at a = 2.
     h = _half_table(N, m, x)
-    S = _pair_table(h, m, bool, setitem)
+    S = _pair_mask(h, m)
     # T[0][0] = 0 and the rest of the diagonal is positive, so the
     # triangle holds iff that is the only zero
     if np.count_nonzero(S) == m * m - 1:

@@ -10,8 +10,8 @@ terms at a time: no bound below 2^31 holds over a megabyte of flags.
 
 The economics: nearly every candidate dies on the sum-free condition,
 and most of the rest on the cyclic basis.  Both, like symmetry, depend
-on (N, m) alone, and a block of candidates, 16 on one worker and
-`BLOCK_SIZE` on the pool, makes the call every report makes,
+on (N, m) alone, and a block of candidates, `SEARCH_BLOCK` in a search
+and `SWEEP_BLOCK` in a sweep, makes the call every report makes,
 `classcount._class_zero_witnesses`: when k is large against m^2 it
 scans a few hundred residues of every row at once for two consecutive
 m-th powers, powering only the primes, and it walks half of class 0 for
@@ -25,8 +25,9 @@ A search checks only the window `cyclic_basis_floor(m)` <= N <=
 `sum_free_cutoff(m)`, outside which no candidate can pass (see those
 two for the proofs), and sieves only up to the cut-off.  The candidates
 outside it still count as tested, so a record reads the same as if each
-had been checked; an exhausted search counts those past the cut-off a
-segment at a time.  A sweep checks and logs every candidate.
+had been checked: a search counts those below the floor, and those past
+the cut-off if none passes, a segment at a time.  A sweep checks and
+logs every candidate, on one worker or a pool.
 
 Two runs with the same (m, bound) produce identical records whatever
 the worker count: `in_order` yields them in job order, as plain `map`
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .checker import check_candidate  # noqa: F401  (a binding perfbench's tracer wraps)
-from .classcount import GROUP_ROWS, _class_zero_witnesses, _triangle_witness
+from .classcount import _class_zero_witnesses, _triangle_witness
 from .numbertheory import MAX_COUNTING_MODULUS, sieve_primes, smallest_generator
 from .report import Witness
 
@@ -62,7 +62,11 @@ SEARCH_CSV_HEADER = "m,status,N,x,bound_used,candidates_tested,elapsed_ms"
 
 DEFAULT_SEARCH_BOUND = 2_000_000
 
-BLOCK_SIZE = 64
+# Candidates per block.  A search's block stops at its first pass, so a
+# small one decides few candidates past it; a sweep's blocks are the jobs
+# of `in_order` at any worker count.
+SEARCH_BLOCK = 16
+SWEEP_BLOCK = 64
 
 # Progression terms per sieve of a search or sweep: a 1 MiB flag array
 # at every bound.
@@ -312,50 +316,15 @@ def in_order(fn: Callable, jobs: Iterable, workers: int) -> Iterator:
         pool.shutdown(wait=not window, cancel_futures=True)
 
 
-def _scan_candidates(
-    m: int,
-    bound: int,
-    *,
-    collect_failures: bool,
-    workers: int = 1,
-    progress: ProgressFn | None = None,
-) -> tuple[SearchRecord, tuple[CandidateFailure, ...]]:
-    t0 = time.perf_counter()
-    check_bound(bound)
-    # every candidate outside the window fails; a search lists none past
-    # it, and counts them as tested only if it finds nothing
-    top = bound if collect_failures else min(bound, sum_free_cutoff(m))
-    lo = 0 if collect_failures else min(cyclic_basis_floor(m) - 1, top)
-    # the candidates up to lo, all in the segments that start below it
-    # (one while m <= SEGMENT), are counted as tested and dropped
-    segments = _segments(m, 0, top)
-    head = list(chain.from_iterable(islice(segments, -(-lo // (2 * m * SEGMENT)))))
-    done = bisect_right(head, lo)
-    checked = chain(head[done:], chain.from_iterable(segments))
-    size = BLOCK_SIZE if workers > 1 else GROUP_ROWS
-    blocks = in_order(
-        partial(_evaluate_block, m=m, explain=collect_failures),
-        iter(lambda: list(islice(checked, size)), []),
-        workers,
-    )
-    failures: list[CandidateFailure] = []
+def _blocks(m: int, lo: int, hi: int, size: int) -> Iterator[list[int]]:
+    """candidate_primes(m, lo, hi) in lists of `size`, sieved a segment
+    at a time."""
+    candidates = chain.from_iterable(_segments(m, lo, hi))
+    return iter(lambda: list(islice(candidates, size)), [])
 
-    def finish(status: str, N, x, tested: int) -> SearchRecord:
-        ms = (time.perf_counter() - t0) * 1000.0
-        return SearchRecord(m, status, N, x, bound, tested, ms)
 
-    with closing(blocks):
-        results = chain.from_iterable(blocks)
-        for done, (N, x, witness) in enumerate(results, done + 1):
-            if witness is None:
-                # a sweep that finds one reports it rather than keep scanning
-                return finish("found", N, x, done), tuple(failures)
-            if collect_failures:
-                failures.append(CandidateFailure(N, witness))
-            if progress and done % BLOCK_SIZE == 0:
-                progress(m, N, done)
-    tested = done + sum(map(len, _segments(m, top, bound)))
-    return finish("exhausted", None, None, tested), tuple(failures)
+def _elapsed_ms(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0
 
 
 def search_min_modulus(m: int, bound: int = DEFAULT_SEARCH_BOUND) -> SearchRecord:
@@ -364,8 +333,21 @@ def search_min_modulus(m: int, bound: int = DEFAULT_SEARCH_BOUND) -> SearchRecor
     """
     if m < 2:
         raise ValueError(f"search needs m >= 2, got {m}")
-    record, _ = _scan_candidates(m, bound, collect_failures=False)
-    return record
+    t0 = time.perf_counter()
+    check_bound(bound)
+    # every candidate outside the window fails: those below it count as
+    # tested, those past it only if none passes
+    top = min(bound, sum_free_cutoff(m))
+    lo = min(cyclic_basis_floor(m) - 1, top)
+    tested = sum(map(len, _segments(m, 0, lo)))
+    for block in _blocks(m, lo, top, SEARCH_BLOCK):
+        results = _evaluate_block(block, m, explain=False)
+        tested += len(results)
+        N, x, witness = results[-1]
+        if witness is None:
+            return SearchRecord(m, "found", N, x, bound, tested, _elapsed_ms(t0))
+    tested += sum(map(len, _segments(m, top, bound)))
+    return SearchRecord(m, "exhausted", None, None, bound, tested, _elapsed_ms(t0))
 
 
 def sweep_nonexistence(
@@ -383,10 +365,25 @@ def sweep_nonexistence(
         raise ValueError(f"sweep needs m >= 2, got {m}")
     if bound is None:
         bound = default_sweep_bound(m)
-    record, failures = _scan_candidates(
-        m, bound, collect_failures=True, workers=workers, progress=progress
+    t0 = time.perf_counter()
+    check_bound(bound)
+    blocks = in_order(
+        partial(_evaluate_block, m=m, explain=True),
+        _blocks(m, 0, bound, SWEEP_BLOCK),
+        workers,
     )
-    return SweepResult(record, failures)
+    failures: list[CandidateFailure] = []
+    with closing(blocks):
+        for N, x, witness in chain.from_iterable(blocks):
+            if witness is None:
+                # a sweep that finds one reports it rather than keep scanning
+                record = SearchRecord(m, "found", N, x, bound, len(failures) + 1, _elapsed_ms(t0))
+                return SweepResult(record, tuple(failures))
+            failures.append(CandidateFailure(N, witness))
+            if progress and len(failures) % SWEEP_BLOCK == 0:
+                progress(m, N, len(failures))
+    record = SearchRecord(m, "exhausted", None, None, bound, len(failures), _elapsed_ms(t0))
+    return SweepResult(record, tuple(failures))
 
 
 def search_all(

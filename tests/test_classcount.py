@@ -3,7 +3,6 @@ import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
-from operator import setitem
 
 import numpy as np
 import pytest
@@ -295,13 +294,11 @@ def test_pair_matrix_matches_definition():
 
 
 def test_pair_mask_is_where_the_pair_matrix_is_positive_to_2000():
-    # the triangle's mask and the public matrix share their code loop
-    # and their fold; only the mark differs
     for N in sieve_primes(2000).tolist()[1:]:
         x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
             h = class_index_table(N, m, x)
-            S = classcount._pair_table(h, m, bool, setitem)
+            S = classcount._pair_mask(h, m)
             assert S.dtype == bool and np.array_equal(S, pair_sum_class_matrix(h, m) > 0), (N, m)
 
 
@@ -335,7 +332,9 @@ def test_later_tables_leave_a_returned_table_unchanged():
 
 def test_threads_never_share_the_scratch_arrays():
     # numpy drops the interpreter lock inside its loops, so threads that
-    # shared the walk, fold and code arrays would mix their blocks
+    # shared the walk, fold and code arrays would mix their blocks: the
+    # table's through the matrix, the codes' through the triangle's mask,
+    # which every catalog row passes
     rows = [r for r in load_catalog() if r.m in (60, 84, 100, 120)]
     want = [pair_sum_class_matrix(class_index_table(r.N, r.m, r.x), r.m) for r in rows]
 
@@ -343,6 +342,7 @@ def test_threads_never_share_the_scratch_arrays():
         r = rows[i % len(rows)]
         return all(
             np.array_equal(pair_sum_class_matrix(class_index_table(r.N, r.m, r.x), r.m), want[i % len(rows)])
+            and classcount._triangle_witness(r.N, r.m, r.x) is None
             for _ in range(4)
         )
 

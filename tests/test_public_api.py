@@ -2,6 +2,8 @@ import re
 from pathlib import Path
 
 import ramsey_forge
+import ramsey_forge.checker
+from ramsey_forge import catalog, classcount, search
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,6 +25,15 @@ def test_retired_names_are_gone():
         assert name not in ramsey_forge.__all__, name
         assert not hasattr(ramsey_forge, name), name
         assert not hasattr(ramsey_forge.classcount, name), name
+
+
+def test_bindings_the_benchmark_tracer_wraps_exist():
+    # perfbench/tracer.py and its self-test look these up by name, and
+    # Tier-1 does not run perfbench's tests; ROADMAP item 2, a harness
+    # that reads the program's own counters, may drop them
+    assert callable(ramsey_forge.checker.check_candidate)
+    assert search.check_candidate is catalog.check_candidate is ramsey_forge.checker.check_candidate
+    assert callable(classcount.class_index_table)
 
 
 def test_version_string():

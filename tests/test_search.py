@@ -528,6 +528,35 @@ def test_bound_past_int64_limit_refused_before_allocating(no_pool):
     assert peak < 1 << 20
 
 
+def test_sweep_blocks_are_the_same_at_any_worker_count(monkeypatch, counting_pool):
+    # a serial sweep and a pooled one evaluate the same blocks of 64
+    blocks = []
+
+    def spy(Ns, m, explain):
+        blocks.append(list(Ns))
+        return evaluate(Ns, m, explain)
+
+    evaluate = search._evaluate_block
+    monkeypatch.setattr(search, "_evaluate_block", spy)
+    serial = sweep_nonexistence(13, 190_997).failures
+    serial_blocks = blocks.copy()
+    blocks.clear()
+    assert not counting_pool
+    assert sweep_nonexistence(13, 190_997, workers=2).failures == serial
+    cands = candidate_primes(13, 0, 190_997)
+    assert serial_blocks == blocks == [cands[i : i + 64] for i in range(0, len(cands), 64)]
+    assert [job[1] for job in counting_pool] == blocks
+
+
+def test_search_runs_outside_the_pool(monkeypatch, no_pool):
+    def refuse(*args, **kwargs):
+        raise AssertionError("search reached in_order")
+
+    monkeypatch.setattr(search, "in_order", refuse)
+    assert search_min_modulus(9, 2_000).N == 523
+    assert search_min_modulus(8, 30_000).status == "exhausted"
+
+
 def test_single_job_starts_no_pool(no_pool):
     # one pending m, or one block's worth of candidates, runs in-process
     assert search_all(8, 8, 2_000, workers=2)[0].status == "exhausted"
