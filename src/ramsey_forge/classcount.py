@@ -87,9 +87,8 @@ for numpy to multiply by.  The triangle reads only which T[p][q] vanish,
 so `_pair_mask` sets each block's pair codes in one m^2 bool mask and
 needs no m^2 int64 array.  A pass stops at the mask, which has no zero
 off its diagonal; only a failure maps the zeros to classes and walks for
-z.  The table's walk and fold, and then the codes, reuse two arrays that
-a process keeps.  The public `pair_sum_class_matrix` counts T itself,
-with a `np.bincount` per block, on arrays of its own.
+z.  The public `pair_sum_class_matrix` counts T itself, with a
+`np.bincount` per block.
 """
 
 from __future__ import annotations
@@ -98,19 +97,19 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import accumulate
 from math import isqrt
-from threading import get_ident
 
 import numpy as np
 
 from .numbertheory import refuse_large_modulus, require_generator, sieve_primes, smallest_generator
 from .report import Witness
 
-# Residues per vectorised pass of the table, mask and matrix: 512 KiB of
-# int64 at every N.  The table and mask take theirs from two arrays that
-# a process keeps (`_block_buffers`), so no row faults in fresh pages.
-# At this size the table's divide-free step, z - (z // N) N, costs about
-# 2.0 ns per residue against 4.5 ns for z % N (2-core Xeon, numpy 2.4.6).
-BLOCK = 1 << 16
+# Residues per vectorised pass: a block of the table, the mask and the
+# matrix, and at most a class-0 walk group or a scan chunk of several
+# rows.  128 KiB of int64, small enough that the allocator hands each
+# block the pages the last one freed.  At this size the table's
+# divide-free step, z - (z // N) N, costs about 1.9 ns per residue
+# against 4.2 ns for z % N (2-core Xeon, numpy 2.4.6).
+BLOCK = 1 << 14
 # The sum-free scan gives up past k / SCAN_SHARE residues.  On one row
 # that never hits, scanning to k/4 costs about 0.7 to 0.8 of walking and
 # sorting class 0, and to k/8 about 0.4 (2-core Xeon, numpy 2.4.6,
@@ -124,13 +123,12 @@ SCAN_SHARE = 4
 WALK_HEAD = 32
 
 
-def power_walk(g, n: int, N, out: np.ndarray | None = None) -> np.ndarray:
+def power_walk(g, n: int, N) -> np.ndarray:
     """g^0, g^1, ..., g^(n-1) mod N as int64: every list of successive
-    powers starts here.  g and N are ints, the powers filling out[:n] if
-    out is given, or int64 columns of shape (r, 1) that give row i the
-    powers of g[i] mod N[i]; a builtin head per row would cost more than
-    the doubling passes it spares.  Refuses moduli the int64 products
-    cannot hold before allocating anything."""
+    powers starts here.  g and N are ints, or int64 columns of shape
+    (r, 1) that give row i the powers of g[i] mod N[i]; a builtin head
+    per row would cost more than the doubling passes it spares.  Refuses
+    moduli the int64 products cannot hold before allocating anything."""
     if isinstance(g, np.ndarray):
         refuse_large_modulus(int(N.max()))
         out = np.empty((len(g), n), dtype=np.int64)
@@ -138,7 +136,7 @@ def power_walk(g, n: int, N, out: np.ndarray | None = None) -> np.ndarray:
         filled, z = min(n, 1), g
     else:
         refuse_large_modulus(N)
-        out = np.empty(n, dtype=np.int64) if out is None else out[:n]
+        out = np.empty(n, dtype=np.int64)
         filled, z = min(n, WALK_HEAD), 1
         for i in range(filled):
             out[i] = z
@@ -176,8 +174,7 @@ def _half_table(N: int, m: int, x: int) -> np.ndarray:
     """
     H = (N - 1) // 2
     B = min(H, m * max(1, BLOCK // m))
-    z, fold = _block_buffers(max(B, BLOCK), get_ident())
-    z, fold = power_walk(x, B, N, z), fold[:B]
+    z, fold = power_walk(x, B, N), np.empty(B, dtype=np.int64)
     step = pow(x, B, N)
     h = np.empty(H + 1, dtype=np.min_scalar_type(-m))
     h[0] = -1
@@ -195,13 +192,6 @@ def _half_table(N: int, m: int, x: int) -> np.ndarray:
         np.minimum(z[:n], fold[:n], out=fold[:n])
         h[fold[:n]] = classes[:n]
     return h
-
-
-@lru_cache(maxsize=1)
-def _block_buffers(size: int, thread: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two int64 arrays for the table's walk and fold, the second lent to
-    the pair codes, kept while size and thread (`get_ident()`) repeat."""
-    return np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
 
 
 def pair_sum_class_matrix(h: np.ndarray, m: int) -> np.ndarray:
@@ -225,7 +215,7 @@ def _pair_mask(h: np.ndarray, m: int) -> np.ndarray:
     """T > 0 as an m x m bool mask, from the codes and the fold of
     `pair_sum_class_matrix`: each block's codes are marked in scratch."""
     S = np.zeros(m * m, dtype=bool)
-    codes = _block_buffers(BLOCK, get_ident())[1]
+    codes = np.empty(min(BLOCK, h.size), dtype=np.int64)
     for a in range(2, h.size, BLOCK):
         c = codes[: min(BLOCK, h.size - a)]
         np.multiply(h[a : a + c.size], m, out=c, dtype=np.int64)

@@ -67,18 +67,17 @@ def _parse_m_range(text: str) -> tuple[int, int]:
 
 
 def _resolve_workers(value: int | None) -> int:
-    """--workers, else $RAMSEY_FORGE_WORKERS, else the CPU count; held
-    to 1..CPU count, since each worker is a process of its own."""
-    cpus = os.cpu_count() or 1
+    """--workers, else $RAMSEY_FORGE_WORKERS, else the CPU count; at least
+    1, and `in_order` holds a pool to the CPU count."""
     if value is None:
         env = os.environ.get(WORKERS_ENV)
         if not env:
-            return cpus
+            return os.cpu_count() or 1
         try:
             value = int(env)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return min(max(1, value), cpus)
+    return max(1, value)
 
 
 class _Progress:

@@ -33,14 +33,16 @@ Two runs with the same (m, bound) produce identical records whatever
 the worker count: `in_order` yields them in job order, as plain `map`
 on one worker, or from a pool that runs at most workers * 4 jobs ahead
 and cancels the rest as soon as its consumer stops.  It is the package's
-only process pool, and serves all four batch commands: a search's jobs
-are its color counts, a sweep's are blocks of candidates, a catalog
-verification's are its rows and a small-moduli scan's are its moduli.
+only process pool, so it alone holds the worker count to the CPU count,
+and serves all four batch commands: a search's jobs are its color
+counts, a sweep's are blocks of candidates, a catalog verification's are
+its rows and a small-moduli scan's are its moduli.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -291,14 +293,16 @@ def _evaluate_block(
 
 
 def in_order(fn: Callable, jobs: Iterable, workers: int) -> Iterator:
-    """fn(job) for each job, yielded in job order.  The first `workers`
-    jobs are read before any starts: one or none runs as plain `map`,
-    more on a pool of one process per job read, at most workers * 4 jobs
-    past the one being waited for.  Closing the generator, or an error in
-    its consumer, cancels every job that has not started and returns at
-    once; a pool whose jobs were all consumed joins its workers, lest the
-    interpreter's exit hook race their teardown."""
+    """fn(job) for each job, yielded in job order.  workers is held to
+    the CPU count, and that many jobs are read before any starts: one or
+    none runs as plain `map`, more on a pool of one process per job read,
+    at most workers * 4 jobs past the one being waited for.  Closing the
+    generator, or an error in its consumer, cancels every job that has
+    not started and returns at once; a pool whose jobs were all consumed
+    joins its workers, lest the interpreter's exit hook race their
+    teardown."""
     jobs = iter(jobs)
+    workers = min(workers, os.cpu_count() or 1)
     head = list(islice(jobs, max(workers, 1)))
     if len(head) <= 1:
         yield from map(fn, chain(head, jobs))

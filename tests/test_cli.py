@@ -54,14 +54,10 @@ def test_resolve_workers_priority(monkeypatch, capsys):
     assert _resolve_workers(2) == 2  # explicit flag beats env
     monkeypatch.delenv("RAMSEY_FORGE_WORKERS")
     assert _resolve_workers(None) == 8
-
-    # never more workers than CPUs, from the flag or from the env
-    assert _resolve_workers(100_000) == 8
-    monkeypatch.setenv("RAMSEY_FORGE_WORKERS", "100000")
-    assert _resolve_workers(None) == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _resolve_workers(None) == 1
-    assert _resolve_workers(4) == 1
+    # the pool holds the count to the CPUs (test_pool_never_outnumbers_the_cpus)
+    assert _resolve_workers(100_000) == 100_000
 
     # a non-integer env value is a clear error, before any work starts
     monkeypatch.setenv("RAMSEY_FORGE_WORKERS", "lots")

@@ -47,3 +47,9 @@ def test_readme_library_imports_are_public():
     names = [n.strip() for n in block.group(1).split(",") if n.strip()]
     assert "build_partition" in names
     assert sorted(set(names) - set(ramsey_forge.__all__)) == []
+
+
+def test_readme_states_the_block_size():
+    # README gives the class table's and the class-0 walk's block size
+    # in words; a change of classcount.BLOCK must reach it
+    assert f"{classcount.BLOCK:,}" in README.read_text(encoding="utf-8")

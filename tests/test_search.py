@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import operator
+import os
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, process
@@ -563,8 +564,10 @@ def test_single_job_starts_no_pool(no_pool):
     assert sweep_nonexistence(3, 50, workers=2).record.N == 13
 
 
-def test_pool_never_outnumbers_its_jobs(monkeypatch):
-    # two jobs on four workers start two processes, not four
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Run the worker pool on threads and return the list of the sizes
+    of the pools opened."""
     sizes = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -573,8 +576,27 @@ def test_pool_never_outnumbers_its_jobs(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_never_outnumbers_its_jobs(monkeypatch, pool_sizes):
+    # two jobs on four workers start two processes, not four, however
+    # many CPUs there are
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert list(search.in_order(operator.neg, iter(range(2)), 4)) == [0, -1]
-    assert sizes == [2]
+    assert pool_sizes == [2]
+
+
+def test_pool_never_outnumbers_the_cpus(monkeypatch, pool_sizes):
+    # every library caller reaches the pool through in_order, so it holds
+    # the count: a thousand workers on two CPUs start two processes, and
+    # with no CPU count known the jobs run as plain map
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert list(search.in_order(operator.neg, range(50), 1000)) == [-j for j in range(50)]
+    assert pool_sizes == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert list(search.in_order(operator.neg, range(50), 1000)) == [-j for j in range(50)]
+    assert pool_sizes == [2]
 
 
 def test_consumer_error_cancels_queued_jobs(counting_pool):
