@@ -14,7 +14,7 @@ from .catalog import (
     verify_rows,
 )
 from .checker import check_candidate
-from .classcount import class_index_table, pair_sum_class_matrix
+from .classcount import class_index_table
 from .numbertheory import is_generator, prime_factors, sieve_primes, smallest_generator
 from .oracle import (
     LabeledPartition,
@@ -66,7 +66,6 @@ __all__ = [
     "is_generator",
     "load_catalog",
     "naive_check",
-    "pair_sum_class_matrix",
     "partition_atoms",
     "prime_factors",
     "ramsey_recursive_bound",

@@ -87,8 +87,7 @@ for numpy to multiply by.  The triangle reads only which T[p][q] vanish,
 so `_pair_mask` sets each block's pair codes in one m^2 bool mask and
 needs no m^2 int64 array.  A pass stops at the mask, which has no zero
 off its diagonal; only a failure maps the zeros to classes and walks for
-z.  The public `pair_sum_class_matrix` counts T itself, with a
-`np.bincount` per block.
+z.
 """
 
 from __future__ import annotations
@@ -103,12 +102,12 @@ import numpy as np
 from .numbertheory import refuse_large_modulus, require_generator, sieve_primes, smallest_generator
 from .report import Witness
 
-# Residues per vectorised pass: a block of the table, the mask and the
-# matrix, and at most a class-0 walk group or a scan chunk of several
-# rows.  128 KiB of int64, small enough that the allocator hands each
-# block the pages the last one freed.  At this size the table's
-# divide-free step, z - (z // N) N, costs about 1.9 ns per residue
-# against 4.2 ns for z % N (2-core Xeon, numpy 2.4.6).
+# Residues per vectorised pass: a block of the table and the mask, and
+# at most a class-0 walk group or a scan chunk of several rows.  128 KiB
+# of int64, small enough that the allocator hands each block the pages
+# the last one freed.  At this size the table's divide-free step,
+# z - (z // N) N, costs about 1.9 ns per residue against 4.2 ns for
+# z % N (2-core Xeon, numpy 2.4.6).
 BLOCK = 1 << 14
 # The sum-free scan gives up past k / SCAN_SHARE residues.  On one row
 # that never hits, scanning to k/4 costs about 0.7 to 0.8 of walking and
@@ -194,26 +193,12 @@ def _half_table(N: int, m: int, x: int) -> np.ndarray:
     return h
 
 
-def pair_sum_class_matrix(h: np.ndarray, m: int) -> np.ndarray:
-    """T[p][q] = number of ordered pairs (a, b), a + b = 1, with classes
-    (p, q), from the half table h, H = len(h) - 1.  The pairs are (a,
-    N + 1 - a), a = 2..N-1; for a <= H the partner folds to a - 1, so A
-    counts the codes h[a] m + h[a - 1], `BLOCK` at a time; the pairs past
-    H + 1 are their transposes, and a = H + 1 pairs with itself in class
-    c = h[H]: T = A + A^T + e_c e_c^T."""
-    A = np.zeros(m * m, dtype=np.int64)
-    for a in range(2, h.size, BLOCK):
-        pair = h[a - 1 : a + BLOCK].astype(np.int64)
-        A += np.bincount(pair[1:] * m + pair[:-1], minlength=m * m)
-    A = A.reshape(m, m)
-    T = A + A.T
-    T[h[-1], h[-1]] += 1
-    return T
-
-
 def _pair_mask(h: np.ndarray, m: int) -> np.ndarray:
-    """T > 0 as an m x m bool mask, from the codes and the fold of
-    `pair_sum_class_matrix`: each block's codes are marked in scratch."""
+    """T > 0 as an m x m bool mask, from the half table h, H = len(h) - 1.
+    The pairs are (a, N + 1 - a), a = 2..N-1; for a <= H the partner
+    folds to a - 1, so each block marks the codes h[a] m + h[a - 1]; the
+    pairs past H + 1 are their transposes, and a = H + 1 pairs with
+    itself in class h[H]."""
     S = np.zeros(m * m, dtype=bool)
     codes = np.empty(min(BLOCK, h.size), dtype=np.int64)
     for a in range(2, h.size, BLOCK):

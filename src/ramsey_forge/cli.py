@@ -182,11 +182,13 @@ def _cmd_search(args) -> int:
     out = _create(args.out, args.out) if args.out else nullcontext(sys.stdout)
     with out as sink:
         emit = _writer(sink, args.format, SEARCH_CSV_HEADER, SearchRecord.to_csv_row)
-        records = search_all(
-            lo, hi, args.bound,
-            workers=workers,
-            progress=progress, resume_records=resume_records, on_record=emit,
-        )
+
+        def on_record(rec: SearchRecord) -> None:
+            emit(rec)
+            progress(rec.m, rec.N or 0, rec.candidates_tested)
+
+        records = search_all(lo, hi, args.bound, workers=workers,
+                             resume_records=resume_records, on_record=on_record)
 
     if args.oracle:
         for r in records:

@@ -10,7 +10,7 @@ import pytest
 from ramsey_forge import classcount
 from ramsey_forge.catalog import load_catalog
 from ramsey_forge.checker import check_candidate
-from ramsey_forge.classcount import class_index_table, pair_sum_class_matrix, power_walk
+from ramsey_forge.classcount import class_index_table, power_walk
 from ramsey_forge.numbertheory import is_generator, sieve_primes, smallest_generator
 from ramsey_forge.partition import build_partition, generator_walk
 from ramsey_forge.report import Witness
@@ -124,7 +124,7 @@ def test_character_row_is_row_zero_of_pair_matrix_to_2000():
             k = (N - 1) // m
             h = class_index_table(N, m, x)
             assert h.itemsize == (1 if m <= 128 else 2), (N, m)
-            T = pair_sum_class_matrix(h, m)
+            T = full_pair_sum_class_matrix(full_class_index_table(N, m, x), m)
             chars = {pow(1 - a, k, N) for a in walk[m::m].tolist()}
             assert len(chars) == np.count_nonzero(T[0]), (N, m)
             assert (1 in chars) == (T[0][0] > 0), (N, m)
@@ -200,14 +200,15 @@ def test_class_table_rejects_non_generator():
 
 def test_class_table_and_pair_matrix_in_small_blocks(monkeypatch):
     # blocks of one power, shorter than m, and not dividing H give the
-    # tables, matrices and triangle verdicts of a single block
+    # tables and triangle verdicts of a single block, and masks that
+    # are where the full table's pair matrix is positive
     sieve = sieve_primes(400)
     cases = []
     for N in sieve.tolist()[1:]:
         x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
-            h = class_index_table(N, m, x)
-            cases.append((N, m, x, h, pair_sum_class_matrix(h, m)))
+            T = full_pair_sum_class_matrix(full_class_index_table(N, m, x), m)
+            cases.append((N, m, x, class_index_table(N, m, x), T > 0))
     # every case that meets the first three conditions passes; the two
     # least triangle failures of any m give a witness
     triangles = {
@@ -218,9 +219,9 @@ def test_class_table_and_pair_matrix_in_small_blocks(monkeypatch):
     assert Counter(w is None for w in triangles.values()) == {True: 8, False: 2}
     for block in (1, 5, 64):
         monkeypatch.setattr(classcount, "BLOCK", block)
-        for N, m, x, h, T in cases:
+        for N, m, x, h, S in cases:
             assert np.array_equal(class_index_table(N, m, x), h), (block, N, m)
-            assert np.array_equal(pair_sum_class_matrix(h, m), T), (block, N, m)
+            assert np.array_equal(classcount._pair_mask(h, m), S), (block, N, m)
         for (N, m, x), witness in triangles.items():
             assert classcount._triangle_witness(N, m, x) == witness, (block, N, m)
     # x = 5^3 mod 97 has x^48 = -1 but order 32: its walk returns to 1
@@ -284,12 +285,14 @@ def test_counting_report_rejects_bad_inputs():
 
 
 def test_pair_matrix_matches_definition():
+    # the full-table matrix that the engine's mask is held to counts what
+    # the definition counts, off a walk of its own
     sieve = sieve_primes(2000)
     for N in sieve.tolist()[1:]:
         x = smallest_generator(N)
         log = reference_logs(N, x)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
-            T = pair_sum_class_matrix(class_index_table(N, m, x), m)
+            T = full_pair_sum_class_matrix(full_class_index_table(N, m, x), m)
             assert np.array_equal(T, reference_pair_matrix(log, m)), (N, m)
 
 
@@ -297,9 +300,9 @@ def test_pair_mask_is_where_the_pair_matrix_is_positive_to_2000():
     for N in sieve_primes(2000).tolist()[1:]:
         x = smallest_generator(N)
         for m in [d for d in range(1, N) if (N - 1) % d == 0 and (N - 1) // d % 2 == 0]:
-            h = class_index_table(N, m, x)
-            S = classcount._pair_mask(h, m)
-            assert S.dtype == bool and np.array_equal(S, pair_sum_class_matrix(h, m) > 0), (N, m)
+            S = classcount._pair_mask(class_index_table(N, m, x), m)
+            T = full_pair_sum_class_matrix(full_class_index_table(N, m, x), m)
+            assert S.dtype == bool and np.array_equal(S, T > 0), (N, m)
 
 
 def test_triangle_pass_holds_little_past_its_table():
@@ -320,14 +323,14 @@ def test_triangle_pass_holds_little_past_its_table():
 
 
 def test_later_tables_leave_a_returned_table_unchanged():
-    # a table handed to a caller is its own: building, masking and
-    # tallying later tables never writes into it
+    # a table handed to a caller is its own: building and masking later
+    # tables never writes into it
     rows = [r for r in load_catalog() if r.m in (20, 84, 164, 244)]
     tables = [class_index_table(r.N, r.m, r.x) for r in rows]
     kept = [h.copy() for h in tables]
     for r in rows:
         classcount._triangle_witness(r.N, r.m, r.x)
-        pair_sum_class_matrix(class_index_table(r.N, r.m, r.x), r.m)
+        classcount._pair_mask(class_index_table(r.N, r.m, r.x), r.m)
     for r, h, want in zip(rows, tables, kept):
         assert np.array_equal(h, want), r
 
@@ -335,18 +338,26 @@ def test_later_tables_leave_a_returned_table_unchanged():
 def test_threads_never_share_the_scratch_arrays():
     # numpy drops the interpreter lock inside its loops, so threads that
     # shared a walk, fold or code array would mix their blocks: the
-    # table's through the matrix, the codes' through the triangle's mask,
-    # which every catalog row passes; each call allocates its own
+    # table's through the table itself, the codes' through the mask and
+    # the triangle, which every catalog row passes; each call allocates
+    # its own
     rows = [r for r in load_catalog() if r.m in (60, 84, 100, 120)]
-    want = [pair_sum_class_matrix(class_index_table(r.N, r.m, r.x), r.m) for r in rows]
+    want = []
+    for r in rows:
+        cls = full_class_index_table(r.N, r.m, r.x)
+        want.append((cls[: (r.N + 1) // 2], full_pair_sum_class_matrix(cls, r.m) > 0))
 
     def agrees(i):
-        r = rows[i % len(rows)]
-        return all(
-            np.array_equal(pair_sum_class_matrix(class_index_table(r.N, r.m, r.x), r.m), want[i % len(rows)])
-            and classcount._triangle_witness(r.N, r.m, r.x) is None
-            for _ in range(4)
-        )
+        r, (table, mask) = rows[i % len(rows)], want[i % len(rows)]
+        for _ in range(4):
+            h = class_index_table(r.N, r.m, r.x)
+            if not (
+                np.array_equal(h, table)
+                and np.array_equal(classcount._pair_mask(h, r.m), mask)
+                and classcount._triangle_witness(r.N, r.m, r.x) is None
+            ):
+                return False
+        return True
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -370,8 +381,8 @@ def test_pair_matrix_matches_full_table_on_catalog_rows():
         assert h.dtype == cls.dtype and h.itemsize == (1 if r.m <= 128 else 2), r
         assert np.array_equal(h, cls[:len(h)]), r
         assert np.array_equal(cls[len(h):], cls[len(h) - 1:0:-1]), r
-        T = pair_sum_class_matrix(h, r.m)
-        assert np.array_equal(T, full_pair_sum_class_matrix(cls, r.m)), r
+        T = full_pair_sum_class_matrix(cls, r.m)
+        assert np.array_equal(classcount._pair_mask(h, r.m), T > 0), r
 
 
 def test_pair_matrix_row_sums_and_symmetry():
@@ -379,7 +390,7 @@ def test_pair_matrix_row_sums_and_symmetry():
     # size, minus one when p is the class of 1 itself (a=1 is excluded)
     for N, m, x in [(13, 3, 2), (41, 4, 6), (97, 6, 5), (71, 5, 7)]:
         k = (N - 1) // m
-        T = pair_sum_class_matrix(class_index_table(N, m, x), m)
+        T = full_pair_sum_class_matrix(full_class_index_table(N, m, x), m)
         assert np.array_equal(T, T.T)
         sums = T.sum(axis=1)
         assert sums[0] == k - 1
@@ -613,9 +624,8 @@ LARGE_TRIANGLE_FAILURES = [
 
 @pytest.mark.parametrize("N, m, x", LARGE_TRIANGLE_FAILURES)
 def test_triangle_failure_witness_by_builtin_pow(N, m, x):
-    h = class_index_table(N, m, x)
-    T = pair_sum_class_matrix(h, m)
-    assert np.array_equal(T, full_pair_sum_class_matrix(full_class_index_table(N, m, x), m))
+    T = full_pair_sum_class_matrix(full_class_index_table(N, m, x), m)
+    assert np.array_equal(classcount._pair_mask(class_index_table(N, m, x), m), T > 0)
     rep = check_candidate(N, m, x)
     assert rep.flags() == (True, True, True, False)
     (zero, i), z = rep.witness.classes, rep.witness.residue

@@ -212,6 +212,32 @@ def test_search_resume_drops_torn_last_line(tmp_path, capsys, fmt):
     resumes_from_any_prefix()
 
 
+PROGRESS_LINES = {
+    ("search", "--m", "2..4", "--bound", "100"): [
+        "search: m=2 N=5 tested=1", "search: m=3 N=13 tested=2", "search: m=4 N=41 tested=2",
+    ],
+    # one line per SWEEP_BLOCK failures
+    ("sweep", "--m", "8", "--bound", "20000"): [
+        "sweep: m=8 N=3889 tested=64", "sweep: m=8 N=8609 tested=128",
+        "sweep: m=8 N=13649 tested=192", "sweep: m=8 N=18097 tested=256",
+    ],
+    ("verify", "--m", "2..4"): [
+        "verify: m=2 N=5 tested=1", "verify: m=3 N=13 tested=2", "verify: m=4 N=41 tested=3",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(PROGRESS_LINES))
+def test_progress_lines_in_order_and_silenced_by_quiet(capsys, argv):
+    # an interval shorter than any step lets every progress call print
+    fast = (*argv, "--workers", "1", "--progress-interval", "1e-9")
+    code, _, err = run_cli(capsys, *fast)
+    assert code == 0
+    assert [ln for ln in err.splitlines() if " tested=" in ln] == PROGRESS_LINES[argv]
+    code, _, err = run_cli(capsys, *fast, "-q")
+    assert code == 0 and err == ""
+
+
 def test_search_and_sweep_refuse_bad_bounds(tmp_path, capsys):
     # a bound below 2 used to break the worker pool with a traceback
     code, out, err = run_cli(capsys, "search", "--m", "2", "--bound", "1", "--workers", "2")

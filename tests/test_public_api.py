@@ -19,9 +19,10 @@ def test_all_is_sorted_and_unique():
 
 
 def test_retired_names_are_gone():
-    # check_candidate is the one report function, and every partition
-    # comes off partition.generator_walk
-    for name in ("counting_report", "class_columns"):
+    # check_candidate is the one report function, every partition comes
+    # off partition.generator_walk, and the triangle reads only the zero
+    # pattern of the pair-sum matrix, which tests/reference.py counts
+    for name in ("counting_report", "class_columns", "pair_sum_class_matrix"):
         assert name not in ramsey_forge.__all__, name
         assert not hasattr(ramsey_forge, name), name
         assert not hasattr(ramsey_forge.classcount, name), name
@@ -53,3 +54,11 @@ def test_readme_states_the_block_size():
     # README gives the class table's and the class-0 walk's block size
     # in words; a change of classcount.BLOCK must reach it
     assert f"{classcount.BLOCK:,}" in README.read_text(encoding="utf-8")
+
+
+def test_readme_states_both_candidate_block_sizes():
+    # README names the search's and the sweep's block in words, across a
+    # line break; a change of either constant must reach it
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"a block of {search.SEARCH_BLOCK} " in text
+    assert f"a block of {search.SWEEP_BLOCK} " in text
